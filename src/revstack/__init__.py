@@ -80,7 +80,6 @@ from .enumeration import (
     DescentTable,
     cached_descent_table,
     classify_degree_nm2,
-    count_zigzag_free,
     descent_table,
     reproduce_appendix,
     verify_steingrimsson,

@@ -5,7 +5,7 @@ appendix.  Output is plain text by default; --format json emits the
 schema-stable JSON forms, and --format csv is available for tables.
 
 Exit status: 0 success / verified, 1 verification failure or mismatch,
-2 usage error.
+2 usage error, including an unreadable or malformed input file.
 """
 from __future__ import annotations
 
@@ -13,12 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional, Sequence
 
 from . import enumeration, patterns, zigzag
-from .perms import (
+from .perms import (  # deg_revstack stays bound here for the perfbench tracer test
     deg_revstack,
-    deg_stack,
     format_permutation,
     iterate_revstack,
     iterate_stack,
@@ -82,7 +82,7 @@ def _cmd_sort(args) -> int:
 
 def _cmd_degree(args) -> int:
     word = parse_permutation(args.perm)
-    deg = deg_revstack(word) if args.sorter == "revstack" else deg_stack(word)
+    deg = enumeration.DEGREE[args.sorter](word)
     if args.format == "json":
         _print_json({"input": list(word), "sorter": args.sorter, "degree": deg})
     else:
@@ -218,7 +218,10 @@ def _cmd_count(args) -> int:
         if args.k is None:
             print("count zigzag-free requires --k", file=sys.stderr)
             return 2
-        value = enumeration.count_zigzag_free(args.n, args.k, args.uninterrupted)
+        if args.k < 0:
+            raise ValueError("k must be non-negative")
+        table = enumeration.zigzag_free_table(args.n)
+        value = table[min(args.k, args.n)][args.uninterrupted]
     else:
         value = COUNT_MAKERS[args.what](args.n)
     if args.format == "json":
@@ -231,10 +234,12 @@ def _cmd_count(args) -> int:
 def _cmd_appendix(args) -> int:
     entries = None
     if args.golden:
-        blob = json.loads(open(args.golden).read())
-        if blob.get("format_version") != 1:
+        blob = json.loads(Path(args.golden).read_text())
+        if not isinstance(blob, dict) or blob.get("format_version") != 1:
             print("appendix: unsupported golden file format", file=sys.stderr)
             return 2
+        if "entries" not in blob:
+            raise ValueError(f"golden file {args.golden} has no entries")
         entries = blob["entries"]
     report = enumeration.reproduce_appendix(
         enumerate_max_n=args.max_n,
@@ -348,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

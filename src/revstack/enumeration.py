@@ -2,21 +2,26 @@
 the degree-(n-2) classification, zigzag-free counts, and reproduction of
 the reference coefficient/root tables.
 
-Enumeration is sharded by the first element of the permutation: the n
+Descent tables are sharded by the first element of the permutation: the n
 shards are independent, each accumulates exact integer counts, and the
 merge is componentwise addition in shard order, so results are identical
-for any worker count.  Hard cap n <= 12.
+for any worker count.  The theorem suite makes one lexicographic pass over
+S_n that computes T(w), S(w), the descent count and both degrees once per
+permutation and feeds them to every per-permutation check; each check
+reports the lexicographically least permutation it fails on.  Hard cap
+n <= 12.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import patterns, trees, zigzag
 from .perms import (
@@ -24,10 +29,13 @@ from .perms import (
     descents,
     deg_revstack,
     deg_stack,
+    format_permutation,
     is_identity,
     iterate_revstack,
+    revstack_sort,
     revstack_sort_sim,
     reverse,
+    stack_sort,
     stack_sort_sim,
 )
 from .polynomials import (
@@ -50,21 +58,10 @@ from .polynomials import (
 from .roots import check_interlacing, real_roots
 
 MAX_N = 12
-SORTERS = ("revstack", "stack")
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "PERMSORT_CACHE_DIR"
-
-
-def _sorter_step(sorter: str) -> Callable[[Word], Word]:
-    if sorter == "revstack":
-        return revstack_sort_sim
-    if sorter == "stack":
-        return stack_sort_sim
-    raise ValueError(f"unknown sorter {sorter!r}; expected one of {SORTERS}")
-
-
-def sorter_degree(word: Word, sorter: str) -> int:
-    return deg_revstack(word) if sorter == "revstack" else deg_stack(word)
+DEGREE = {"revstack": deg_revstack, "stack": deg_stack}
+SORTERS = tuple(DEGREE)
 
 
 def permutations_with_first(n: int, first: int) -> Iterator[Word]:
@@ -81,16 +78,10 @@ def _check_n(n: int) -> None:
 
 def _shard_counts(n: int, sorter: str, first: int) -> list[list[int]]:
     """counts[deg][des] over the shard of permutations starting with first."""
-    step = _sorter_step(sorter)
+    degree = DEGREE[sorter]
     counts = [[0] * n for _ in range(n)]
     for word in permutations_with_first(n, first):
-        des = sum(1 for a, b in zip(word, word[1:]) if a > b)
-        w = word
-        d = 0
-        while not is_identity(w):
-            w = step(w)
-            d += 1
-        counts[d][des] += 1
+        counts[degree(word)][descents(word)] += 1
     return counts
 
 
@@ -140,7 +131,8 @@ def descent_table(n: int, sorter: str = "revstack", jobs: Optional[int] = None) 
     first-element shards in a process pool; the result is identical for
     any jobs value because shards merge by index."""
     _check_n(n)
-    _sorter_step(sorter)
+    if sorter not in DEGREE:
+        raise ValueError(f"unknown sorter {sorter!r}; expected one of {SORTERS}")
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, n))
@@ -176,6 +168,40 @@ def _cache_path(cache_dir: Path, n: int, sorter: str) -> Path:
     return cache_dir / f"table-{sorter}-{n}.json"
 
 
+def _is_sound(table: DescentTable) -> bool:
+    """Integrity check for a table read from the cache: n x n integer
+    cells summing to n!, the t = n-1 row equal to the Eulerian polynomial,
+    and the t = 0 row equal to x (only the identity sorts in no pass)."""
+    n = table.n
+    cells = [c for row in table.deg_des for c in row]
+    return (
+        len(table.deg_des) == n
+        and all(len(row) == n for row in table.deg_des)
+        and all(type(c) is int for c in cells)
+        and sum(cells) == math.factorial(n)
+        and table.row(n - 1) == eulerian_poly(n)
+        and table.row(0) == IntPoly.x_power(1)
+    )
+
+
+def _load_cached(path: Path, n: int, sorter: str) -> Optional[DescentTable]:
+    """The table cached at path, or None when the entry is missing, has
+    another format version or key, is corrupt, or fails _is_sound."""
+    try:
+        blob = json.loads(path.read_text())
+        if (
+            not isinstance(blob, dict)
+            or blob.get("format_version") != CACHE_FORMAT_VERSION
+            or blob["n"] != n
+            or blob["sorter"] != sorter
+        ):
+            return None
+        table = DescentTable(n, sorter, tuple(tuple(row) for row in blob["deg_des"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return table if _is_sound(table) else None
+
+
 def cached_descent_table(
     n: int,
     sorter: str = "revstack",
@@ -183,31 +209,29 @@ def cached_descent_table(
     cache_dir: Optional[str | Path] = None,
 ) -> DescentTable:
     """descent_table with an advisory JSON cache keyed by (n, sorter).
-    Entries embed a format version; mismatching or corrupt entries are
-    recomputed and rewritten."""
+    Entries embed a format version and are checked on load; mismatching,
+    corrupt or unsound entries are recomputed and rewritten.  Writes go
+    through a temporary file and os.replace, so a reader never sees a
+    partly written entry."""
     directory = resolve_cache_dir(cache_dir)
     path = _cache_path(directory, n, sorter)
-    if path.exists():
-        try:
-            blob = json.loads(path.read_text())
-            if blob.get("format_version") == CACHE_FORMAT_VERSION:
-                deg_des = tuple(tuple(row) for row in blob["deg_des"])
-                if len(deg_des) == n and blob["n"] == n and blob["sorter"] == sorter:
-                    return DescentTable(n, sorter, deg_des)
-        except (json.JSONDecodeError, KeyError, TypeError):
-            pass
+    cached = _load_cached(path, n, sorter)
+    if cached is not None:
+        return cached
     table = descent_table(n, sorter, jobs)
     directory.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(
-            {
-                "format_version": CACHE_FORMAT_VERSION,
-                "n": n,
-                "sorter": sorter,
-                "deg_des": [list(r) for r in table.deg_des],
-            }
-        )
-    )
+    blob = {
+        "format_version": CACHE_FORMAT_VERSION,
+        "n": n,
+        "sorter": sorter,
+        "deg_des": [list(r) for r in table.deg_des],
+    }
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(blob))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return table
 
 
@@ -243,33 +267,13 @@ def _all_perms(n: int) -> Iterator[Word]:
     return itertools.permutations(range(1, n + 1))
 
 
-def _first_failure(n: int, predicate: Callable[[Word], bool]) -> Optional[Word]:
-    for word in _all_perms(n):
-        if not predicate(word):
-            return word
-    return None
+def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
+    return stack_sort(w) == s and revstack_sort(w) == t and t == stack_sort_sim(reverse(w))
 
 
-def _check(name: str, n: int, predicate: Callable[[Word], bool]) -> CheckResult:
-    bad = _first_failure(n, predicate)
-    return CheckResult(name, bad is None, " ".join(map(str, bad)) if bad else "")
-
-
-def _pred_operator_identities(w: Word) -> bool:
-    from .perms import revstack_sort, stack_sort
-
-    s = stack_sort(w)
-    t = revstack_sort(w)
-    return (
-        s == stack_sort_sim(w)
-        and t == revstack_sort_sim(w)
-        and t == stack_sort_sim(reverse(w))
-    )
-
-
-def _pred_degree_iteration(w: Word) -> bool:
+def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
     n = len(w)
-    d = deg_revstack(w)
+    d = deg_t
     if d > max(0, n - 1):
         return False
     if not is_identity(iterate_revstack(w, n - 1 if n else 0)):
@@ -279,13 +283,12 @@ def _pred_degree_iteration(w: Word) -> bool:
     return d == 0 or not is_identity(iterate_revstack(w, d - 1))
 
 
-def _pred_precedence_lemmas(w: Word) -> bool:
+def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
     # (1) an inversion of w is never an inversion of T(w);
     # (2) a non-inversion (a, b) flips iff some c > b sits between them;
     # (3) hence inversions of T(w) are exactly the (b, a) with a 132
     #     occurrence (a, c, b) in w.
     n = len(w)
-    t = revstack_sort_sim(w)
     pos_w = {v: i for i, v in enumerate(w)}
     pos_t = {v: i for i, v in enumerate(t)}
     for a in range(1, n + 1):
@@ -302,92 +305,117 @@ def _pred_precedence_lemmas(w: Word) -> bool:
     return True
 
 
-def _pred_deg1_is_132_avoidance(w: Word) -> bool:
-    return (deg_revstack(w) <= 1) == (
-        patterns.contains_classical(w, patterns.PATTERN_132) is None
-    )
+def _pred_deg1_is_132_avoidance(w: Word, s: Word, t: Word, des: int, deg_t: int,
+                                deg_s: int) -> bool:
+    return (deg_t <= 1) == (patterns.contains_classical(w, patterns.PATTERN_132) is None)
 
 
-def _pred_deg2_characterisation(w: Word) -> bool:
-    return (deg_revstack(w) <= 2) == patterns.is_member_T2(w)
+def _pred_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t: int,
+                                deg_s: int) -> bool:
+    return (deg_t <= 2) == patterns.is_member_T2(w)
 
 
-def _pred_stack_deg2_characterisation(w: Word) -> bool:
-    return (deg_stack(w) <= 2) == patterns.is_member_S2(w)
+def _pred_stack_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t: int,
+                                      deg_s: int) -> bool:
+    return (deg_s <= 2) == patterns.is_member_S2(w)
 
 
-def _pred_sorted_132_witnesses(w: Word) -> bool:
+def _pred_sorted_132_witnesses(w: Word, s: Word, t: Word, des: int, deg_t: int,
+                               deg_s: int) -> bool:
     return patterns.check_sorted_132_witnesses(w).holds
 
 
-def _pred_zigzag_bracketing(w: Word) -> bool:
+def _pred_zigzag_bracketing(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
     maxz, maxu = zigzag.zigzag_degrees(w)
-    return maxu < deg_revstack(w) <= maxz + 1
+    return maxu < deg_t <= maxz + 1
 
 
-def _pred_tree_traversals(w: Word) -> bool:
-    t = trees.tree_of(w)
+def _pred_tree_traversals(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
+    tree = trees.tree_of(w)
     return (
-        trees.in_order(t) == w
-        and trees.post_order(t) == stack_sort_sim(w)
-        and trees.rpostorder(t) == revstack_sort_sim(w)
-        and trees.right_edge_count(t) == descents(w)
+        trees.in_order(tree) == w
+        and trees.post_order(tree) == s
+        and trees.rpostorder(tree) == t
+        and trees.right_edge_count(tree) == des
     )
 
 
-def _pred_duality(w: Word) -> bool:
+def _pred_duality(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
     n = len(w)
     f = trees.duality_f(w)
     return (
         trees.duality_f(f) == w
-        and descents(w) + descents(f) == n - 1
-        and stack_sort_sim(f) == stack_sort_sim(w)
-        and revstack_sort_sim(f) == revstack_sort_sim(w)
+        and des + descents(f) == n - 1
+        and stack_sort_sim(f) == s
+        and revstack_sort_sim(f) == t
         and trees.g_map(w) == trees.duality_f(reverse(w)) == reverse(f)
     )
 
 
-def _check_injection_h(n: int) -> CheckResult:
-    name = "descent-raising injection"
-    for i in range((n - 3) // 2 + 1):
-        images: dict[Word, Word] = {}
-        for w in _all_perms(n):
-            if descents(w) != i:
-                continue
-            h = trees.injection_h(w)
-            if (
-                descents(h) != i + 1
-                or stack_sort_sim(h) != stack_sort_sim(w)
-                or revstack_sort_sim(h) != revstack_sort_sim(w)
-            ):
-                return CheckResult(name, False, " ".join(map(str, w)))
-            if h in images:
-                return CheckResult(
-                    name, False, f"collision: {images[h]} and {w} both map to {h}"
-                )
-            images[h] = w
-    return CheckResult(name, True)
+# Each predicate receives w with its precomputed S(w), T(w), descent count
+# and revstack/stack degrees.
+_PERMUTATION_CHECKS = (
+    ("operator identities (recursion = simulation, T = S o rev)", _pred_operator_identities),
+    ("degree bounds and iteration", _pred_degree_iteration),
+    ("precedence lemmas / inversion characterisation", _pred_precedence_lemmas),
+    ("one-pass sortable iff 132-avoiding", _pred_deg1_is_132_avoidance),
+    ("two-pass sortable iff avoids 2431 and barred 241(5)3", _pred_deg2_characterisation),
+    ("two-pass stack-sortable iff avoids 2341 and barred 3(5)241",
+     _pred_stack_deg2_characterisation),
+    ("every 132 in T(w) is witnessed in w", _pred_sorted_132_witnesses),
+    ("zigzag bracketing", _pred_zigzag_bracketing),
+    ("tree traversal identities", _pred_tree_traversals),
+    ("duality involution and conjugates", _pred_duality),
+)
+_INJECTION_CHECK = "descent-raising injection"
 
 
-def _check_equidistribution(n: int) -> CheckResult:
-    """The descent statistic agrees on the sets sorted by two straight
-    stack passes and by stack/reverse/stack."""
-    name = "two-pass descent equidistribution"
-    lhs = [0] * n
-    rhs = [0] * n
+def _check_permutations(n: int) -> list[CheckResult]:
+    """One lexicographic pass over S_n for every per-permutation check, the
+    descent-raising injection and the two-pass descent equidistribution.
+    A check that fails keeps its first counterexample and is skipped for
+    the rest of the pass."""
+    first_bad: dict[str, str] = {}
+    # h raises the descent count by exactly one, so images of permutations
+    # with different descent counts cannot collide and one dict serves all.
+    images: dict[Word, Word] = {}
+    two_stack = [0] * n
+    stack_rev_stack = [0] * n
     for w in _all_perms(n):
-        if is_identity(stack_sort_sim(stack_sort_sim(w))):
-            lhs[descents(w)] += 1
-        if is_identity(stack_sort_sim(reverse(stack_sort_sim(w)))):
-            rhs[descents(w)] += 1
-    ok = lhs == rhs
-    return CheckResult(name, ok, "" if ok else f"{lhs} != {rhs}")
+        s = stack_sort_sim(w)
+        t = revstack_sort_sim(w)
+        des = descents(w)
+        deg_t = deg_revstack(w)
+        deg_s = deg_stack(w)
+        for name, pred in _PERMUTATION_CHECKS:
+            if name not in first_bad and not pred(w, s, t, des, deg_t, deg_s):
+                first_bad[name] = format_permutation(w)
+        if _INJECTION_CHECK not in first_bad and des <= (n - 3) // 2:
+            h = trees.injection_h(w)
+            if descents(h) != des + 1 or stack_sort_sim(h) != s or revstack_sort_sim(h) != t:
+                first_bad[_INJECTION_CHECK] = format_permutation(w)
+            elif h in images:
+                first_bad[_INJECTION_CHECK] = f"collision: {images[h]} and {w} both map to {h}"
+            else:
+                images[h] = w
+        if deg_s <= 2:
+            two_stack[des] += 1
+        if is_identity(stack_sort_sim(reverse(s))):
+            stack_rev_stack[des] += 1
+    names = [name for name, _ in _PERMUTATION_CHECKS] + [_INJECTION_CHECK]
+    checks = [CheckResult(name, name not in first_bad, first_bad.get(name, "")) for name in names]
+    # The descent statistic agrees on the sets sorted by two straight
+    # stack passes and by stack/reverse/stack.
+    equal = two_stack == stack_rev_stack
+    checks.append(CheckResult(
+        "two-pass descent equidistribution", equal,
+        "" if equal else f"{two_stack} != {stack_rev_stack}",
+    ))
+    return checks
 
 
 def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[CheckResult]:
-    out = []
-    sym = uni = logc = first_cols = nesting = True
-    bad = ""
+    sym = uni = logc = edges = nesting = ""
     eulerian_match = rev.row(n - 1) == eulerian_poly(n) == st.row(n - 1)
     for t in range(n):
         v = rev.descent_counts(t)
@@ -396,30 +424,24 @@ def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[
         # once, and the t = 0 row (just the identity permutation) is
         # asymmetric for every n >= 2
         if t >= 1 and any(v[i] != v[n - 1 - i] for i in range(n)):
-            sym = False
-            bad = bad or f"symmetry at t={t}"
+            sym = sym or f"symmetry at t={t}"
         p = rev.row(t)
         if not is_unimodal(p):
-            uni = False
-            bad = bad or f"unimodality at t={t}"
+            uni = uni or f"unimodality at t={t}"
         if not is_log_concave(p):
-            logc = False
-            bad = bad or f"log-concavity at t={t}"
+            logc = logc or f"log-concavity at t={t}"
         if v[0] != w[0] or (n >= 2 and (v[1] != w[1] or v[n - 2] != w[n - 2])):
-            first_cols = False
-            bad = bad or f"edge-column equality at t={t}"
+            edges = edges or f"edge-column equality at t={t}"
         if t + 1 <= n - 1 and rev.count(t) > rev.count(t + 1):
-            nesting = False
-            bad = bad or f"nesting at t={t}"
-    out.append(CheckResult("table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1", sym,
-                           "" if sym else bad))
-    out.append(CheckResult("table rows unimodal", uni, "" if uni else bad))
-    out.append(CheckResult("table rows log-concave", logc, "" if logc else bad))
-    out.append(CheckResult("edge columns match the stack table", first_cols,
-                           "" if first_cols else bad))
-    out.append(CheckResult("t-sortable sets nest", nesting, "" if nesting else bad))
-    out.append(CheckResult("last row is the Eulerian polynomial", eulerian_match))
-    return out
+            nesting = nesting or f"nesting at t={t}"
+    return [
+        CheckResult("table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1", not sym, sym),
+        CheckResult("table rows unimodal", not uni, uni),
+        CheckResult("table rows log-concave", not logc, logc),
+        CheckResult("edge columns match the stack table", not edges, edges),
+        CheckResult("t-sortable sets nest", not nesting, nesting),
+        CheckResult("last row is the Eulerian polynomial", eulerian_match),
+    ]
 
 
 def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[CheckResult]:
@@ -458,26 +480,11 @@ def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[Che
 
 
 def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
-    """Run every exhaustive property check at size n."""
+    """Run every exhaustive property check at size n: one in-process pass
+    over S_n for the per-permutation checks, then the two descent tables
+    (sharded over jobs workers) for the table checks."""
     _check_n(n)
-    checks = [
-        _check("operator identities (recursion = simulation, T = S o rev)", n,
-               _pred_operator_identities),
-        _check("degree bounds and iteration", n, _pred_degree_iteration),
-        _check("precedence lemmas / inversion characterisation", n,
-               _pred_precedence_lemmas),
-        _check("one-pass sortable iff 132-avoiding", n, _pred_deg1_is_132_avoidance),
-        _check("two-pass sortable iff avoids 2431 and barred 241(5)3", n,
-               _pred_deg2_characterisation),
-        _check("two-pass stack-sortable iff avoids 2341 and barred 3(5)241", n,
-               _pred_stack_deg2_characterisation),
-        _check("every 132 in T(w) is witnessed in w", n, _pred_sorted_132_witnesses),
-        _check("zigzag bracketing", n, _pred_zigzag_bracketing),
-        _check("tree traversal identities", n, _pred_tree_traversals),
-        _check("duality involution and conjugates", n, _pred_duality),
-        _check_injection_h(n),
-        _check_equidistribution(n),
-    ]
+    checks = _check_permutations(n)
     rev = descent_table(n, "revstack", jobs)
     st = descent_table(n, "stack", jobs)
     checks.extend(_check_table_structure(n, rev, st))
@@ -695,32 +702,13 @@ def classify_degree_nm2(n: int) -> ClassificationReport:
 
 # -- zigzag-free counting ----------------------------------------------------
 
-def count_zigzag_free(n: int, k: int, uninterrupted_only: bool = False) -> int:
-    """Number of permutations in S_n containing no k-zigzag (or no
-    uninterrupted k-zigzag).  Also asserts, permutation by permutation,
-    the bracketing max-uninterrupted-degree < sorting degree <=
-    max-degree + 1 that makes these counts bound the t-sortable counts."""
-    if not 1 <= n <= 10:
-        raise ValueError("zigzag-free counting supported for n <= 10")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    free = 0
-    for w in _all_perms(n):
-        maxz, maxu = zigzag.zigzag_degrees(w)
-        d = deg_revstack(w)
-        if not maxu < d <= maxz + 1:
-            raise AssertionError(f"zigzag bracketing violated at {w}")
-        if uninterrupted_only:
-            if maxu < k:
-                free += 1
-        elif maxz < k:
-            free += 1
-    return free
-
-
 def zigzag_free_table(n: int) -> dict[int, tuple[int, int]]:
-    """For each k: (count with no k-zigzag, count with no uninterrupted
-    k-zigzag).  One enumeration pass; same bracketing assertion."""
+    """For each k in 0..n: (number of permutations in S_n containing no
+    k-zigzag, number containing no uninterrupted k-zigzag).  One
+    enumeration pass, which also asserts, permutation by permutation, the
+    bracketing max-uninterrupted-degree < sorting degree <= max-degree + 1
+    that makes these counts bound the t-sortable counts.  Every k > n
+    gives the k = n counts (n!)."""
     if not 1 <= n <= 10:
         raise ValueError("zigzag-free counting supported for n <= 10")
     freez = [0] * (n + 1)

@@ -161,13 +161,7 @@ def zigzag_degrees(word: Sequence[int]) -> tuple[int, int]:
     """
     w = tuple(word)
     maxz = max_zigzag_degree(w)
-    pos = {v: i for i, v in enumerate(w, start=1)}
-    desc = sorted(w, reverse=True)
     for k in range(maxz, -1, -1):
-        m = k + 2
-        for sub in itertools.combinations(desc, m):
-            p0 = pos[sub[0]]
-            if all((pos[sub[i]] > p0) == (i % 2 == 1) for i in range(1, m)):
-                if not _interrupted(w, sub):
-                    return maxz, k
+        if _scan(w, k, uninterrupted_only=True) is not None:
+            return maxz, k
     return maxz, -1

@@ -100,6 +100,19 @@ class TestPolyAndCount:
         status, _ = run(capsys, "count", "--what", "zigzag-free", "--n", "5")
         assert status == 2
 
+    def test_zigzag_free_k_above_n_counts_everything(self, capsys):
+        for flags in ((), ("--uninterrupted",)):
+            status, out = run(
+                capsys, "count", "--what", "zigzag-free", "--n", "5", "--k", "9", *flags
+            )
+            assert status == 0
+            assert out.strip() == "120"
+
+    def test_zigzag_free_negative_k(self, capsys):
+        status, out = run(capsys, "count", "--what", "zigzag-free", "--n", "5", "--k", "-1")
+        assert status == 2
+        assert out == ""
+
     def test_poly_precondition_is_usage_error(self, capsys):
         status, _ = run(capsys, "poly", "--which", "revstack-nm2", "--n", "2")
         assert status == 2
@@ -215,6 +228,22 @@ class TestAppendix:
         )
         assert status == 1
         assert "(n=4, t=1)" in out
+
+
+    def test_missing_golden_file(self, capsys, tmp_path):
+        status = main(["appendix", "--max-n", "1", "--golden", str(tmp_path / "absent.json"),
+                       "--no-cache"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_golden_file_without_entries(self, capsys, tmp_path):
+        golden = tmp_path / "golden.json"
+        golden.write_text(json.dumps({"format_version": 1}))
+        status = main(["appendix", "--max-n", "1", "--golden", str(golden), "--no-cache"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestUsageErrors:

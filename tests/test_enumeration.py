@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,9 +6,10 @@ import pytest
 
 from revstack.enumeration import (
     CACHE_FORMAT_VERSION,
+    DescentTable,
+    _check_table_structure,
     cached_descent_table,
     classify_degree_nm2,
-    count_zigzag_free,
     degree_nm2_classes,
     descent_table,
     load_reference_tables,
@@ -18,6 +20,7 @@ from revstack.enumeration import (
     verify_theorems,
     zigzag_free_table,
 )
+from revstack import patterns
 from revstack.perms import deg_revstack
 from revstack.polynomials import (
     IntPoly,
@@ -25,10 +28,16 @@ from revstack.polynomials import (
     count_revstack_nm3,
     eulerian_poly,
 )
+from revstack.zigzag import find_uninterrupted_zigzag, find_zigzag
 
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def two_stack_sortable(n):
+    """Zeilberger's count of two-stack-sortable permutations of size n."""
+    return 2 * math.factorial(3 * n) // (math.factorial(n + 1) * math.factorial(2 * n + 1))
 
 
 class TestDescentTable:
@@ -48,6 +57,12 @@ class TestDescentTable:
         for n in range(2, 8):
             assert get_table(n, "revstack").count(1) == catalan(n)
             assert get_table(n, "stack").count(1) == catalan(n)
+
+    def test_two_pass_is_zeilberger(self, get_table):
+        # the two sorters' two-pass rows agree, so the oracle covers both
+        for n in range(3, 9):
+            assert get_table(n, "stack").count(2) == two_stack_sortable(n)
+            assert get_table(n, "revstack").count(2) == two_stack_sortable(n)
 
     def test_row_out_of_range(self, get_table):
         with pytest.raises(ValueError):
@@ -116,6 +131,32 @@ class TestCache:
         table = cached_descent_table(4, "revstack", cache_dir=tmp_path)
         assert table == descent_table(4, "revstack")
 
+    def test_tampered_cell_recomputed(self, tmp_path):
+        cached_descent_table(5, "revstack", cache_dir=tmp_path)
+        path = tmp_path / "table-revstack-5.json"
+        blob = json.loads(path.read_text())
+        blob["deg_des"][2][1] += 7
+        path.write_text(json.dumps(blob))
+        table = cached_descent_table(5, "revstack", cache_dir=tmp_path)
+        assert table == descent_table(5, "revstack")
+        assert table.count(4) == 120
+        assert json.loads(path.read_text())["deg_des"] == [list(r) for r in table.deg_des]
+
+    @pytest.mark.parametrize("deg_des", [
+        [[0, 1, 0], [1, 2, 0], [0, 1, 1]],    # row(0) is not x
+        [[1, 0, 0], [1, 2, 0], [0, 1, 1]],    # last row is not Eulerian
+        [[1, 0], [0, 4]],                     # not 3 x 3
+        [[1, 0, 0], [0, 3.0, 1], [0, 1, 0]],  # not integers
+    ])
+    def test_unsound_entry_recomputed(self, tmp_path, deg_des):
+        path = tmp_path / "table-revstack-3.json"
+        path.write_text(json.dumps({"format_version": CACHE_FORMAT_VERSION, "n": 3,
+                                    "sorter": "revstack", "deg_des": deg_des}))
+        table = cached_descent_table(3, "revstack", cache_dir=tmp_path)
+        assert table == descent_table(3)
+        assert all(type(c) is int for row in table.deg_des for c in row)
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMSORT_CACHE_DIR", str(tmp_path / "envcache"))
         assert resolve_cache_dir() == tmp_path / "envcache"
@@ -172,6 +213,40 @@ class TestTheoremSuite:
         assert blob["ok"] is True
         assert all({"name", "ok"} <= set(c) for c in blob["checks"])
 
+    def test_failing_check_reports_least_counterexample(self, monkeypatch):
+        # the 2431 check fails on exactly these permutations; the fused pass
+        # must report the least of them there and nowhere else
+        wrong = {(4, 1, 3, 2, 5), (3, 5, 2, 1, 4), (2, 4, 3, 1, 5)}
+        member = patterns.is_member_T2
+        monkeypatch.setattr(patterns, "is_member_T2", lambda w: member(w) != (w in wrong))
+        report = verify_theorems(5)
+        failed = [c for c in report.checks if not c.ok]
+        assert [c.name for c in failed] == [
+            "two-pass sortable iff avoids 2431 and barred 241(5)3"
+        ]
+        assert failed[0].counterexample == "2 4 3 1 5"
+
+    @pytest.mark.parametrize("cells, expected", [
+        ([(1, 0, 1)], {
+            "table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1": "symmetry at t=1",
+            "edge columns match the stack table": "edge-column equality at t=1",
+            "last row is the Eulerian polynomial": "",
+        }),
+        ([(1, 0, 1), (1, 2, 1000)], {
+            "table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1": "symmetry at t=1",
+            "table rows log-concave": "log-concavity at t=1",
+            "edge columns match the stack table": "edge-column equality at t=1",
+            "last row is the Eulerian polynomial": "",
+        }),
+    ])
+    def test_table_checks_report_their_own_counterexample(self, get_table, cells, expected):
+        deg_des = [list(r) for r in get_table(5, "revstack").deg_des]
+        for d, i, delta in cells:
+            deg_des[d][i] += delta
+        rev = DescentTable(5, "revstack", tuple(map(tuple, deg_des)))
+        results = _check_table_structure(5, rev, get_table(5, "stack"))
+        assert {c.name: c.counterexample for c in results if not c.ok} == expected
+
 
 class TestClassification:
     def test_class_families_n4(self):
@@ -204,32 +279,35 @@ class TestClassification:
 class TestZigzagFree:
     def test_zero_degree_counts_identity_only(self):
         for n in range(1, 7):
-            assert count_zigzag_free(n, 0) == 1
-            assert count_zigzag_free(n, 0, uninterrupted_only=True) == 1
+            assert zigzag_free_table(n)[0] == (1, 1)
 
     def test_degree_one_counts_catalan(self):
         for n in range(1, 7):
-            assert count_zigzag_free(n, 1) == catalan(n)
+            assert zigzag_free_table(n)[1][0] == catalan(n)
 
     def test_bracketing_counts(self, get_table):
         for n in range(1, 7):
             table = get_table(n, "revstack")
+            rows = zigzag_free_table(n)
             for k in range(n):
-                lo = count_zigzag_free(n, k)
-                hi = count_zigzag_free(n, k, uninterrupted_only=True)
+                lo, hi = rows[k]
                 assert lo <= table.count(k) <= hi
+            assert rows[n] == (math.factorial(n), math.factorial(n))
 
     def test_table_matches_single_counts(self):
+        # oracle: count permutations with no (uninterrupted) k-zigzag by
+        # searching for one, k by k
         rows = zigzag_free_table(5)
+        perms = list(itertools.permutations(range(1, 6)))
         for k, (free, free_u) in rows.items():
-            assert free == count_zigzag_free(5, k)
-            assert free_u == count_zigzag_free(5, k, uninterrupted_only=True)
+            assert free == sum(find_zigzag(w, k) is None for w in perms)
+            assert free_u == sum(find_uninterrupted_zigzag(w, k) is None for w in perms)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            count_zigzag_free(11, 1)
+            zigzag_free_table(11)
         with pytest.raises(ValueError):
-            count_zigzag_free(5, -1)
+            zigzag_free_table(0)
 
 
 class TestAppendixReproduction:

@@ -1,0 +1,16 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_zigzag_free_counts_script():
+    # the script puts ./src on sys.path, so it runs from the repository root
+    proc = subprocess.run(
+        [sys.executable, "scripts/zigzag_free_counts.py", "--max-n", "5", "--jobs", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # k = n - 1 = 4: every permutation of S_5 is counted in all three columns
+    assert proc.stdout.splitlines()[-3] == "  4          120              120                        120"
