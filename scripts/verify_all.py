@@ -14,6 +14,7 @@ sys.path.insert(0, "src")
 
 from revstack.enumeration import (
     classify_degree_nm2,
+    descent_table,
     reproduce_appendix,
     verify_steingrimsson,
     verify_theorems,
@@ -56,7 +57,9 @@ def main() -> int:
               f" ({sum(report.sizes.values())} permutations)")
 
     max_n = 10 if args.full else 8
-    report = reproduce_appendix(enumerate_max_n=max_n, jobs=args.jobs)
+    report = reproduce_appendix(
+        enumerate_max_n=max_n, table=lambda n: descent_table(n, "revstack", args.jobs)
+    )
     for m in report.mismatches:
         failures += 1
         print(f"FAIL reference table (n={m.n}, t={m.t}): {m.what}")

@@ -28,12 +28,9 @@ from .perms import (
 from .patterns import (
     Occurrence,
     PatternSpec,
-    aleft,
-    aright,
     check_sorted_132_witnesses,
     contains_barred,
     contains_classical,
-    is_among,
     is_member_S2,
     is_member_T2,
     parse_pattern,

@@ -134,14 +134,15 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _get_table(n: int, sorter: str, jobs, cache_dir, use_cache: bool):
-    if use_cache:
-        return enumeration.cached_descent_table(n, sorter, jobs, cache_dir)
-    return enumeration.descent_table(n, sorter, jobs)
+def _get_table(args, n: int, sorter: str) -> enumeration.DescentTable:
+    """The descent table, through the cache unless --no-cache is given."""
+    if args.no_cache:
+        return enumeration.descent_table(n, sorter, args.jobs)
+    return enumeration.cached_descent_table(n, sorter, args.jobs, args.cache_dir)
 
 
 def _cmd_table(args) -> int:
-    table = _get_table(args.n, args.sorter, args.jobs, args.cache_dir, not args.no_cache)
+    table = _get_table(args, args.n, args.sorter)
     if args.format == "json":
         _print_json(table.to_json())
     elif args.format == "csv":
@@ -197,7 +198,7 @@ def _cmd_roots(args) -> int:
         if args.n is None or args.t is None:
             print("roots: provide either --coeffs or both --n and --t", file=sys.stderr)
             return 2
-        table = _get_table(args.n, "revstack", args.jobs, args.cache_dir, not args.no_cache)
+        table = _get_table(args, args.n, "revstack")
         poly = table.row(args.t)
     if poly.is_zero():
         print("roots: the zero polynomial has no root report", file=sys.stderr)
@@ -231,6 +232,24 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _check_golden_entries(entries) -> None:
+    """Reject golden entries that reproduce_appendix cannot read."""
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("golden entries must be a list of objects")
+    for k, e in enumerate(entries):
+        n, t, coeffs, roots = (e.get(key) for key in ("n", "t", "coeffs", "roots"))
+        if not (
+            type(n) is int and n >= 1
+            and type(t) is int and 0 <= t < n
+            and isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
+            and isinstance(roots, list) and all(type(r) in (int, float) for r in roots)
+        ):
+            raise ValueError(
+                f"golden entry {k} needs an int n >= 1, an int t in 0..n-1, "
+                "a list of int coeffs and a list of numeric roots"
+            )
+
+
 def _cmd_appendix(args) -> int:
     entries = None
     if args.golden:
@@ -241,12 +260,11 @@ def _cmd_appendix(args) -> int:
         if "entries" not in blob:
             raise ValueError(f"golden file {args.golden} has no entries")
         entries = blob["entries"]
+        _check_golden_entries(entries)
     report = enumeration.reproduce_appendix(
         enumerate_max_n=args.max_n,
-        jobs=args.jobs,
         entries=entries,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        table=lambda n: _get_table(args, n, "revstack"),
     )
     if args.format == "json":
         _print_json(report.to_json())

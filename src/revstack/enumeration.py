@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import patterns, trees, zigzag
 from .perms import (
@@ -31,7 +31,6 @@ from .perms import (
     deg_stack,
     format_permutation,
     is_identity,
-    iterate_revstack,
     revstack_sort,
     revstack_sort_sim,
     reverse,
@@ -60,6 +59,7 @@ from .roots import check_interlacing, real_roots
 MAX_N = 12
 CACHE_FORMAT_VERSION = 1
 CACHE_ENV_VAR = "PERMSORT_CACHE_DIR"
+ROOT_TOLERANCE = 1e-4
 DEGREE = {"revstack": deg_revstack, "stack": deg_stack}
 SORTERS = tuple(DEGREE)
 
@@ -171,7 +171,10 @@ def _cache_path(cache_dir: Path, n: int, sorter: str) -> Path:
 def _is_sound(table: DescentTable) -> bool:
     """Integrity check for a table read from the cache: n x n integer
     cells summing to n!, the t = n-1 row equal to the Eulerian polynomial,
-    and the t = 0 row equal to x (only the identity sorts in no pass)."""
+    the t = 0 row equal to x (only the identity sorts in no pass), the
+    t = 1 row equal to the Narayana polynomial, and for revstack with
+    n >= 4 the t = n-2 row equal to its closed form.  The pinned rows catch
+    cells moved between degree rows of one descent column."""
     n = table.n
     cells = [c for row in table.deg_des for c in row]
     return (
@@ -181,6 +184,8 @@ def _is_sound(table: DescentTable) -> bool:
         and sum(cells) == math.factorial(n)
         and table.row(n - 1) == eulerian_poly(n)
         and table.row(0) == IntPoly.x_power(1)
+        and (n < 2 or table.row(1) == narayana_poly(n))
+        and (table.sorter != "revstack" or n < 4 or table.row(n - 2) == w_revstack_nm2(n))
     )
 
 
@@ -272,15 +277,16 @@ def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, d
 
 
 def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    n = len(w)
-    d = deg_t
-    if d > max(0, n - 1):
+    # One walk along the T-chain: not the identity before each of the first
+    # deg_t passes, the identity after them.  T fixes the identity, so with
+    # deg_t <= n-1 this also gives T^(n-1)(w) = id.
+    if deg_t > max(0, len(w) - 1):
         return False
-    if not is_identity(iterate_revstack(w, n - 1 if n else 0)):
-        return False
-    if not is_identity(iterate_revstack(w, d)):
-        return False
-    return d == 0 or not is_identity(iterate_revstack(w, d - 1))
+    for _ in range(deg_t):
+        if is_identity(w):
+            return False
+        w = revstack_sort_sim(w)
+    return is_identity(w)
 
 
 def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
@@ -766,28 +772,19 @@ class AppendixReport:
 
 def reproduce_appendix(
     enumerate_max_n: int = 8,
-    jobs: Optional[int] = None,
-    root_tolerance: float = 1e-4,
     entries: Optional[list[dict]] = None,
-    cache_dir: Optional[str | Path] = None,
-    use_cache: bool = False,
+    table: Callable[[int], DescentTable] = descent_table,
 ) -> AppendixReport:
     """Compare the reference tables against this implementation:
-    coefficients bit-exactly via enumeration for n <= enumerate_max_n, and
-    root lists against Sturm isolation within the tolerance for every
-    listed size."""
+    coefficients bit-exactly against table(n), the revstack descent table,
+    for n <= enumerate_max_n, and root lists against Sturm isolation within
+    ROOT_TOLERANCE for every listed size."""
     if entries is None:
         entries = load_reference_tables()
     mismatches: list[AppendixMismatch] = []
     sizes = sorted({e["n"] for e in entries})
     enumerated = [n for n in sizes if n <= enumerate_max_n]
-
-    tables = {}
-    for n in enumerated:
-        if use_cache:
-            tables[n] = cached_descent_table(n, "revstack", jobs, cache_dir)
-        else:
-            tables[n] = descent_table(n, "revstack", jobs)
+    tables = {n: table(n) for n in enumerated}
 
     for e in entries:
         n, t = e["n"], e["t"]
@@ -813,7 +810,7 @@ def reproduce_appendix(
             ))
             continue
         for got_r, want_r in zip(approx, want):
-            if abs(got_r - want_r) > root_tolerance:
+            if abs(got_r - want_r) > ROOT_TOLERANCE:
                 mismatches.append(AppendixMismatch(
                     n, t, f"root {got_r} differs from reference {want_r}"
                 ))

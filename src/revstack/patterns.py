@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .perms import Word, positions, revstack_sort_sim
 
@@ -123,45 +123,28 @@ def contains_classical(word: Sequence[int], pattern: PatternSpec) -> Optional[Oc
     """
     if pattern.has_bar:
         raise ValueError("contains_classical expects a pattern without a bar")
-    return _search(tuple(word), pattern.letters)
+    return next(_occurrences(tuple(word), pattern.letters), None)
 
 
-def _search(word: Word, pat: Word) -> Optional[Occurrence]:
+def _occurrences(word: Word, pat: Word) -> Iterator[Occurrence]:
+    """Every occurrence of a classical pattern, positions in lexicographic
+    order, by backtracking that prunes each prefix not order-isomorphic to
+    the pattern's prefix."""
     m, n = len(pat), len(word)
-    if m == 0:
-        return Occurrence((), ())
-    if m > n:
-        return None
     chosen: list[int] = []
 
-    def extend(start: int) -> Optional[list[int]]:
+    def extend(start: int) -> Iterator[Occurrence]:
         depth = len(chosen)
         if depth == m:
-            return chosen
+            yield Occurrence(tuple(i + 1 for i in chosen), tuple(word[i] for i in chosen))
+            return
         for i in range(start, n - (m - depth) + 1):
             chosen.append(i)
             if _rank_consistent(pat, [word[j] for j in chosen]):
-                got = extend(i + 1)
-                if got is not None:
-                    return got
+                yield from extend(i + 1)
             chosen.pop()
-        return None
 
-    got = extend(0)
-    if got is None:
-        return None
-    return Occurrence(tuple(i + 1 for i in got), tuple(word[i] for i in got))
-
-
-def _iter_occurrences(word: Word, pat: Word):
-    """All occurrences of a classical pattern, positions in lexicographic order."""
-    m, n = len(pat), len(word)
-    if m > n:
-        return
-    for combo in itertools.combinations(range(n), m):
-        values = [word[i] for i in combo]
-        if all(_rank_consistent(pat, values[: k + 1]) for k in range(1, m)):
-            yield Occurrence(tuple(i + 1 for i in combo), tuple(values))
+    return extend(0)
 
 
 def _extends(word: Word, pattern: PatternSpec, occ: Occurrence) -> bool:
@@ -195,12 +178,11 @@ def contains_barred(word: Sequence[int], pattern: PatternSpec) -> Optional[Occur
     For a pattern without a bar this coincides with contains_classical.
     """
     w = tuple(word)
-    if not pattern.has_bar:
-        return contains_classical(w, pattern)
-    for occ in _iter_occurrences(w, pattern.reduction()):
-        if not _extends(w, pattern, occ):
-            return occ
-    return None
+    return next(
+        (occ for occ in _occurrences(w, pattern.reduction())
+         if not pattern.has_bar or not _extends(w, pattern, occ)),
+        None,
+    )
 
 
 def is_member_T2(word: Sequence[int]) -> bool:
@@ -225,29 +207,6 @@ def is_member_S2(word: Sequence[int]) -> bool:
         contains_classical(w, STACK_S2_CLASSICAL) is None
         and contains_barred(w, STACK_S2_BARRED) is None
     )
-
-
-def aleft(word: Sequence[int], values: set[int]) -> int:
-    """The element of the value set that occurs leftmost in the word."""
-    if not values:
-        raise ValueError("aleft of an empty value set")
-    pos = positions(word)
-    return min(values, key=lambda v: pos[v])
-
-
-def aright(word: Sequence[int], values: set[int]) -> int:
-    """The element of the value set that occurs rightmost in the word."""
-    if not values:
-        raise ValueError("aright of an empty value set")
-    pos = positions(word)
-    return max(values, key=lambda v: pos[v])
-
-
-def is_among(word: Sequence[int], x: int, values: set[int]) -> bool:
-    """Whether x sits positionally between the leftmost and rightmost
-    elements of the value set (boundaries included)."""
-    pos = positions(word)
-    return pos[aleft(word, values)] <= pos[x] <= pos[aright(word, values)]
 
 
 @dataclass(frozen=True)

@@ -76,19 +76,6 @@ def right_edge_count(t: Optional[Node]) -> int:
     return own + right_edge_count(t.left) + right_edge_count(t.right)
 
 
-def render_text(t: Optional[Node], indent: int = 0) -> str:
-    """Indented one-node-per-line rendering for debugging and docs."""
-    if t is None:
-        return ""
-    lines = [" " * indent + str(t.label)]
-    for tag, child in (("L", t.left), ("R", t.right)):
-        if child is not None:
-            sub = render_text(child, indent + 4)
-            lines.append(" " * (indent + 2) + tag + ":")
-            lines.append(sub)
-    return "\n".join(lines)
-
-
 def duality_f(word: Sequence[int]) -> Word:
     """The descent-complementing involution, by the five-case recursion:
     f(eps) = eps, f(x) = x, f(LnR) = f(L) n f(R) when both sides are

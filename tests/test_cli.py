@@ -229,6 +229,26 @@ class TestAppendix:
         assert status == 1
         assert "(n=4, t=1)" in out
 
+    @pytest.mark.parametrize("entries", [
+        5,
+        [5],
+        [{"n": 2, "coeffs": [0, 1, 1], "roots": [-1, 0]}],
+        [{"n": 2, "t": 2, "coeffs": [0, 1, 1], "roots": [-1, 0]}],
+        [{"n": 0, "t": 0, "coeffs": [0, 1], "roots": [0]}],
+        [{"n": "2", "t": 1, "coeffs": [0, 1, 1], "roots": [-1, 0]}],
+        [{"n": 2, "t": 1.0, "coeffs": [0, 1, 1], "roots": [-1, 0]}],
+        [{"n": 2, "t": 1, "coeffs": "x", "roots": [-1, 0]}],
+        [{"n": 2, "t": 1, "coeffs": [0, 1, 1.5], "roots": [-1, 0]}],
+        [{"n": 2, "t": 1, "coeffs": [0, 1, 1], "roots": "x"}],
+        [{"n": 2, "t": 1, "coeffs": [0, 1, 1], "roots": [-1, "0"]}],
+    ])
+    def test_malformed_golden_entries(self, capsys, tmp_path, entries):
+        golden = tmp_path / "golden.json"
+        golden.write_text(json.dumps({"format_version": 1, "entries": entries}))
+        status = main(["appendix", "--max-n", "3", "--golden", str(golden), "--no-cache"])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_missing_golden_file(self, capsys, tmp_path):
         status = main(["appendix", "--max-n", "1", "--golden", str(tmp_path / "absent.json"),

@@ -147,6 +147,7 @@ class TestCache:
         [[1, 0, 0], [1, 2, 0], [0, 1, 1]],    # last row is not Eulerian
         [[1, 0], [0, 4]],                     # not 3 x 3
         [[1, 0, 0], [0, 3.0, 1], [0, 1, 0]],  # not integers
+        [[1, 0, 0], [0, 2, 0], [0, 2, 1]],    # cells moved between degree rows
     ])
     def test_unsound_entry_recomputed(self, tmp_path, deg_des):
         path = tmp_path / "table-revstack-3.json"
@@ -156,6 +157,20 @@ class TestCache:
         assert table == descent_table(3)
         assert all(type(c) is int for row in table.deg_des for c in row)
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("sorter, d", [("stack", 1), ("revstack", 2)])
+    def test_cell_moved_between_degree_rows_recomputed(self, tmp_path, sorter, d):
+        # One permutation moves from degree d to d + 1 in its descent
+        # column: only the pinned t = 1 row (Narayana) or, for revstack,
+        # the pinned t = n-2 row can see it.
+        cached_descent_table(4, sorter, cache_dir=tmp_path)
+        path = tmp_path / f"table-{sorter}-4.json"
+        blob = json.loads(path.read_text())
+        col = next(i for i, c in enumerate(blob["deg_des"][d]) if c)
+        blob["deg_des"][d][col] -= 1
+        blob["deg_des"][d + 1][col] += 1
+        path.write_text(json.dumps(blob))
+        assert cached_descent_table(4, sorter, cache_dir=tmp_path) == descent_table(4, sorter)
 
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMSORT_CACHE_DIR", str(tmp_path / "envcache"))

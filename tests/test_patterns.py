@@ -10,12 +10,9 @@ from revstack.patterns import (
     REVSTACK_T2_CLASSICAL,
     Occurrence,
     PatternSpec,
-    aleft,
-    aright,
     check_sorted_132_witnesses,
     contains_barred,
     contains_classical,
-    is_among,
     is_member_S2,
     is_member_T2,
     parse_pattern,
@@ -25,6 +22,32 @@ from revstack.perms import deg_revstack, deg_stack
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
+
+
+def order_isomorphic(values, letters):
+    return all(
+        (letters[i] < letters[j]) == (values[i] < values[j])
+        for i in range(len(letters))
+        for j in range(i + 1, len(letters))
+    )
+
+
+def first_unextendable_by_brute_force(w, pattern):
+    """Oracle for contains_barred: the lexicographically first occurrence of
+    the reduction whose positions are not those of some occurrence of the
+    full pattern with the barred slot dropped."""
+    bi = pattern.barred_index
+    extendable = {
+        combo[: bi - 1] + combo[bi:]
+        for combo in itertools.combinations(range(1, len(w) + 1), len(pattern.letters))
+        if order_isomorphic([w[i - 1] for i in combo], pattern.letters)
+    }
+    reduction = pattern.reduction()
+    for combo in itertools.combinations(range(1, len(w) + 1), len(reduction)):
+        values = tuple(w[i - 1] for i in combo)
+        if order_isomorphic(values, reduction) and combo not in extendable:
+            return Occurrence(combo, values)
+    return None
 
 
 class TestPatternSpec:
@@ -71,11 +94,7 @@ class TestClassical:
             for w in all_perms(n):
                 for p in pats:
                     brute = any(
-                        all(
-                            (p.letters[i] < p.letters[j]) == (vals[i] < vals[j])
-                            for i in range(len(vals))
-                            for j in range(i + 1, len(vals))
-                        )
+                        order_isomorphic(vals, p.letters)
                         for vals in itertools.combinations(w, len(p.letters))
                     )
                     assert (contains_classical(w, p) is not None) == brute
@@ -98,6 +117,15 @@ class TestBarred:
 
     def test_avoided_when_reduction_absent(self):
         assert contains_barred((1, 2, 3, 4, 5), REVSTACK_T2_BARRED) is None
+
+    @pytest.mark.parametrize("text", ["2415!3", "35!241", "2435!1"])
+    def test_witness_matches_brute_force_oracle(self, text):
+        pattern = parse_pattern(text)
+        for n in range(8):
+            for w in all_perms(n):
+                assert contains_barred(w, pattern) == first_unextendable_by_brute_force(
+                    w, pattern
+                ), w
 
     def test_barless_pattern_falls_back_to_classical(self):
         for n in range(6):
@@ -163,34 +191,6 @@ class TestWitnessValidity:
     def test_occurrence_json(self):
         occ = contains_classical((4, 2, 5, 1, 3), PATTERN_132)
         assert occ.to_json() == {"positions": [2, 3, 5], "values": [2, 5, 3]}
-
-
-class TestAmong:
-    def test_worked_example(self):
-        w = (2, 8, 5, 4, 9, 1, 3, 7, 6)
-        a = {1, 3, 5, 9}
-        assert aleft(w, a) == 5
-        assert aright(w, a) == 3
-        assert is_among(w, 4, a)
-        assert is_among(w, 5, a)
-        assert not is_among(w, 2, a)
-        assert not is_among(w, 7, a)
-
-    def test_singleton(self):
-        w = (3, 1, 2)
-        assert aleft(w, {2}) == 2
-        assert aright(w, {2}) == 2
-        assert is_among(w, 2, {2})
-
-    def test_identity_positions(self):
-        assert aleft((1, 2, 3, 4, 5), {2, 4}) == 2
-        assert aright((1, 2, 3, 4, 5), {2, 4}) == 4
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aleft((1, 2), set())
-        with pytest.raises(ValueError):
-            aright((1, 2), set())
 
 
 class TestSorted132Witnesses:

@@ -18,7 +18,6 @@ from revstack.trees import (
     in_order,
     injection_h,
     post_order,
-    render_text,
     right_edge_count,
     rpostorder,
     tree_of,
@@ -79,7 +78,6 @@ class TestTreeConstruction:
             "label": 3,
             "left": {"label": 2, "right": {"label": 1}},
         }
-        assert "3" in render_text(t)
 
 
 class TestTraversals:
