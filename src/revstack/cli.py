@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence
 
 from . import enumeration, patterns, zigzag
@@ -196,13 +195,9 @@ def _cmd_roots(args) -> int:
         poly = IntPoly.from_coeffs(coeffs)
     else:
         if args.n is None or args.t is None:
-            print("roots: provide either --coeffs or both --n and --t", file=sys.stderr)
-            return 2
+            raise ValueError("roots: provide either --coeffs or both --n and --t")
         table = _get_table(args, args.n, "revstack")
         poly = table.row(args.t)
-    if poly.is_zero():
-        print("roots: the zero polynomial has no root report", file=sys.stderr)
-        return 2
     width = Fraction(args.width) if args.width else DEFAULT_WIDTH
     report = real_roots(poly, width)
     if args.format == "json":
@@ -217,8 +212,7 @@ def _cmd_roots(args) -> int:
 def _cmd_count(args) -> int:
     if args.what == "zigzag-free":
         if args.k is None:
-            print("count zigzag-free requires --k", file=sys.stderr)
-            return 2
+            raise ValueError("count zigzag-free requires --k")
         if args.k < 0:
             raise ValueError("k must be non-negative")
         table = enumeration.zigzag_free_table(args.n)
@@ -232,35 +226,8 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _check_golden_entries(entries) -> None:
-    """Reject golden entries that reproduce_appendix cannot read."""
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError("golden entries must be a list of objects")
-    for k, e in enumerate(entries):
-        n, t, coeffs, roots = (e.get(key) for key in ("n", "t", "coeffs", "roots"))
-        if not (
-            type(n) is int and n >= 1
-            and type(t) is int and 0 <= t < n
-            and isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
-            and isinstance(roots, list) and all(type(r) in (int, float) for r in roots)
-        ):
-            raise ValueError(
-                f"golden entry {k} needs an int n >= 1, an int t in 0..n-1, "
-                "a list of int coeffs and a list of numeric roots"
-            )
-
-
 def _cmd_appendix(args) -> int:
-    entries = None
-    if args.golden:
-        blob = json.loads(Path(args.golden).read_text())
-        if not isinstance(blob, dict) or blob.get("format_version") != 1:
-            print("appendix: unsupported golden file format", file=sys.stderr)
-            return 2
-        if "entries" not in blob:
-            raise ValueError(f"golden file {args.golden} has no entries")
-        entries = blob["entries"]
-        _check_golden_entries(entries)
+    entries = enumeration.load_reference_tables(args.golden) if args.golden else None
     report = enumeration.reproduce_appendix(
         enumerate_max_n=args.max_n,
         entries=entries,

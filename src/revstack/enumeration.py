@@ -13,6 +13,7 @@ n <= 12.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -172,9 +173,10 @@ def _is_sound(table: DescentTable) -> bool:
     """Integrity check for a table read from the cache: n x n integer
     cells summing to n!, the t = n-1 row equal to the Eulerian polynomial,
     the t = 0 row equal to x (only the identity sorts in no pass), the
-    t = 1 row equal to the Narayana polynomial, and for revstack with
-    n >= 4 the t = n-2 row equal to its closed form.  The pinned rows catch
-    cells moved between degree rows of one descent column."""
+    t = 1 row equal to the Narayana polynomial, and for n >= 4 the
+    closed forms: the revstack t = n-2 and t = n-3 rows, and West's stack
+    counts for t = n-2 and t = n-3.  The pinned rows catch cells moved
+    between degree rows of one descent column."""
     n = table.n
     cells = [c for row in table.deg_des for c in row]
     return (
@@ -185,7 +187,11 @@ def _is_sound(table: DescentTable) -> bool:
         and table.row(n - 1) == eulerian_poly(n)
         and table.row(0) == IntPoly.x_power(1)
         and (n < 2 or table.row(1) == narayana_poly(n))
-        and (table.sorter != "revstack" or n < 4 or table.row(n - 2) == w_revstack_nm2(n))
+        and (n < 4 or (
+            table.row(n - 2) == w_revstack_nm2(n) and table.row(n - 3) == w_revstack_nm3(n)
+            if table.sorter == "revstack" else
+            table.count(n - 2) == count_stack_nm2(n) and table.count(n - 3) == count_stack_nm3(n)
+        ))
     )
 
 
@@ -217,14 +223,14 @@ def cached_descent_table(
     Entries embed a format version and are checked on load; mismatching,
     corrupt or unsound entries are recomputed and rewritten.  Writes go
     through a temporary file and os.replace, so a reader never sees a
-    partly written entry."""
+    partly written entry.  A cache directory that cannot be created or
+    written leaves the computed table unsaved."""
     directory = resolve_cache_dir(cache_dir)
     path = _cache_path(directory, n, sorter)
     cached = _load_cached(path, n, sorter)
     if cached is not None:
         return cached
     table = descent_table(n, sorter, jobs)
-    directory.mkdir(parents=True, exist_ok=True)
     blob = {
         "format_version": CACHE_FORMAT_VERSION,
         "n": n,
@@ -232,11 +238,13 @@ def cached_descent_table(
         "deg_des": [list(r) for r in table.deg_des],
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(blob))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with contextlib.suppress(OSError):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(blob))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return table
 
 
@@ -734,13 +742,36 @@ def zigzag_free_table(n: int) -> dict[int, tuple[int, int]]:
 
 # -- reference table reproduction -------------------------------------------
 
-def load_reference_tables() -> list[dict]:
-    blob = json.loads(
-        resources.files("revstack").joinpath("appendix_data.json").read_text()
-    )
-    if blob.get("format_version") != 1:
-        raise ValueError("unsupported reference data format")
-    return blob["entries"]
+def load_reference_tables(path: Optional[str | Path] = None) -> list[dict]:
+    """The entries of a reference-table file: the packaged appendix data
+    when path is None, otherwise the given golden file.  Raises ValueError
+    for another format_version, missing or empty entries, or an entry that
+    reproduce_appendix cannot read."""
+    if path is None:
+        source = resources.files("revstack").joinpath("appendix_data.json")
+    else:
+        source = Path(path)
+    blob = json.loads(source.read_text())
+    if not isinstance(blob, dict) or blob.get("format_version") != 1:
+        raise ValueError(f"{source}: unsupported format_version")
+    entries = blob.get("entries")
+    if not entries or not isinstance(entries, list):
+        raise ValueError(f"{source}: entries must be a non-empty list")
+    for k, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"{source}: entry {k} is not an object")
+        n, t, coeffs, roots = (e.get(key) for key in ("n", "t", "coeffs", "roots"))
+        if not (
+            type(n) is int and n >= 1
+            and type(t) is int and 0 <= t < n
+            and isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
+            and isinstance(roots, list) and all(type(r) in (int, float) for r in roots)
+        ):
+            raise ValueError(
+                f"{source}: entry {k} needs an int n >= 1, an int t in 0..n-1, "
+                "a list of int coeffs and a list of numeric roots"
+            )
+    return entries
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,19 @@
 """Exact real-root counting, isolation, and refinement via Sturm sequences.
 
-All arithmetic is over ``fractions.Fraction``; bisection starts from an
-integer Cauchy bound, so interval endpoints stay dyadic.  Multiplicities
-come from square-free decomposition by repeated derivative-gcd.  Reported
-decimal approximations are rounded half-even to five places.
+Polynomials are ``IntPoly`` with integer coefficients throughout.  Division
+is pseudo-division by the absolute leading coefficient, and every Sturm
+term and gcd is divided by the positive gcd of its coefficients, so each is
+a positive multiple of its classical rational counterpart with the same
+signs.  Multiplicities come from square-free decomposition by repeated
+derivative-gcd; the square-free parts are primitive with a positive
+leading coefficient.  Bisection starts from an integer Cauchy bound, so
+interval endpoints are dyadic ``Fraction``s, and f(u/v) is evaluated as
+v^d f(u/v) by Horner's rule in integers.  Reported decimal approximations
+are rounded half-even to five places.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -14,109 +21,96 @@ from typing import Sequence
 
 from .polynomials import IntPoly, narayana_poly, w_revstack_nm2
 
-FPoly = list[Fraction]
-
 DEFAULT_WIDTH = Fraction(1, 10**7)
 
 
-def _strip(f: FPoly) -> FPoly:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def poly_eval(f: IntPoly, x: Fraction) -> Fraction:
+    """The exact value f(x), from v^d f(u/v) in integers for x = u/v."""
+    u, v = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(f.coeffs):
+        acc = acc * u + c * scale
+        scale *= v
+    return Fraction(acc, v ** max(f.degree, 0))
 
 
-def _to_fpoly(coeffs: Sequence) -> FPoly:
-    return _strip([Fraction(c) for c in coeffs])
+def poly_derivative(f: IntPoly) -> IntPoly:
+    return IntPoly.from_coeffs([i * c for i, c in enumerate(f.coeffs)][1:])
 
 
-def poly_eval(f: FPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def _primitive(f: IntPoly) -> IntPoly:
+    """f divided by the positive gcd of its coefficients."""
+    g = math.gcd(*f.coeffs)
+    return IntPoly(tuple(c // g for c in f.coeffs)) if g > 1 else f
 
 
-def poly_derivative(f: FPoly) -> FPoly:
-    return _strip([i * c for i, c in enumerate(f)][1:])
+def _pseudo_divmod(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """Quotient and remainder of |lc(g)|^k f by g (g nonzero), where
+    k = max(deg f - deg g + 1, 0).  Both are positive multiples of the
+    rational quotient and remainder of f by g."""
+    dg = g.degree
+    lead = abs(g.coeffs[-1])
+    sign = 1 if g.coeffs[-1] > 0 else -1
+    r = list(f.coeffs)
+    q = [0] * max(len(r) - dg, 0)
+    for j in reversed(range(len(q))):
+        # lead * r - c x^j g cancels the x^(j+dg) term, since c lc(g) = lead r[j+dg].
+        c = sign * r[j + dg]
+        q = [lead * a for a in q]
+        q[j] = c
+        r = [lead * a for a in r[:j + dg]]
+        for i, b in enumerate(g.coeffs[:-1]):
+            r[j + i] -= c * b
+    return IntPoly.from_coeffs(q), IntPoly.from_coeffs(r)
 
 
-def poly_rem(f: FPoly, g: FPoly) -> FPoly:
-    """Remainder of f by g (g nonzero)."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(r) - 1 >= dg and _strip(r):
-        dr = len(r) - 1
-        q = r[-1] / lg
-        for i in range(dg + 1):
-            r[dr - dg + i] -= q * g[i]
-        r.pop()
-        _strip(r)
-    return r
+def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Greatest common divisor, primitive with a positive leading coefficient."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    a = _primitive(a)
+    return a * -1 if a.coeffs and a.coeffs[-1] < 0 else a
 
 
-def poly_monic(f: FPoly) -> FPoly:
-    if not f:
-        return f
-    lead = f[-1]
-    return [c / lead for c in f]
-
-
-def poly_gcd(f: FPoly, g: FPoly) -> FPoly:
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, _strip(poly_rem(a, b))
-    return poly_monic(a)
-
-
-def poly_div_exact(f: FPoly, g: FPoly) -> FPoly:
-    """Quotient of f by a known divisor g."""
-    r = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    q = [Fraction(0)] * (len(f) - dg)
-    while len(r) - 1 >= dg and _strip(r):
-        dr = len(r) - 1
-        c = r[-1] / lg
-        q[dr - dg] = c
-        for i in range(dg + 1):
-            r[dr - dg + i] -= c * g[i]
-        r.pop()
-        _strip(r)
-    if _strip(r):
+def poly_div_exact(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Quotient of f by a divisor g in Z[x]; raises ArithmeticError when g
+    does not divide f there."""
+    q, r = _pseudo_divmod(f, g)
+    scale = abs(g.coeffs[-1]) ** max(f.degree - g.degree + 1, 0)
+    if not r.is_zero() or any(c % scale for c in q.coeffs):
         raise ArithmeticError("inexact polynomial division")
-    return _strip(q)
+    return IntPoly(tuple(c // scale for c in q.coeffs))
 
 
-def square_free_parts(f: FPoly) -> list[tuple[FPoly, int]]:
+def square_free_parts(f: IntPoly) -> list[tuple[IntPoly, int]]:
     """Decompose f into square-free factors with multiplicities by the
     repeated derivative-gcd chain: c_i = (gcd chain quotients) collects the
     roots of multiplicity >= i, and consecutive quotients separate exact
-    multiplicities."""
-    if len(f) <= 1:
+    multiplicities.  Each factor is primitive with a positive leading
+    coefficient."""
+    if f.degree < 1:
         return []
-    chain = [poly_monic(f)]
-    while len(chain[-1]) > 1:
-        g = poly_gcd(chain[-1], poly_derivative(chain[-1]))
-        chain.append(g)
+    chain = [poly_gcd(f, IntPoly.zero())]  # f, primitive with a positive lead
+    while chain[-1].degree > 0:
+        chain.append(poly_gcd(chain[-1], poly_derivative(chain[-1])))
     # c_i = chain[i-1] / chain[i] has the distinct roots of multiplicity >= i
     cs = [poly_div_exact(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     out = []
     for i in range(len(cs)):
         part = cs[i] if i == len(cs) - 1 else poly_div_exact(cs[i], cs[i + 1])
-        if len(part) > 1:
+        if part.degree > 0:
             out.append((part, i + 1))
     return out
 
 
-def sturm_chain(f: FPoly) -> list[FPoly]:
-    chain = [list(f), poly_derivative(f)]
-    while chain[-1]:
-        r = _strip(poly_rem(chain[-2], chain[-1]))
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return [c for c in chain if c]
+def sturm_chain(f: IntPoly) -> list[IntPoly]:
+    """Sturm sequence of a nonzero f: f, f', then each negated remainder,
+    every term scaled by a positive constant to a primitive polynomial."""
+    chain = [_primitive(f), _primitive(poly_derivative(f))]
+    while not chain[-1].is_zero():
+        chain.append(_primitive(_pseudo_divmod(chain[-2], chain[-1])[1]) * -1)
+    return chain[:-1]
 
 
 def sign_variations(values: Sequence[Fraction]) -> int:
@@ -124,7 +118,7 @@ def sign_variations(values: Sequence[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_between(chain: list[FPoly], a: Fraction, b: Fraction) -> int:
+def count_roots_between(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots of the chain's polynomial in (a, b); requires
     that neither endpoint is a root."""
     va = sign_variations([poly_eval(c, a) for c in chain])
@@ -132,17 +126,16 @@ def count_roots_between(chain: list[FPoly], a: Fraction, b: Fraction) -> int:
     return va - vb
 
 
-def cauchy_bound(f: FPoly) -> int:
-    """Integer B with every real root in (-B, B)."""
-    lead = abs(f[-1])
-    m = max(abs(c) for c in f[:-1]) if len(f) > 1 else Fraction(0)
-    b = 1 + m / lead
-    return int(b) + 1
+def cauchy_bound(f: IntPoly) -> int:
+    """Integer B with every real root in (-B, B): 2 + max|c_i| // |lead|."""
+    *rest, lead = f.coeffs
+    return 2 + max(map(abs, rest), default=0) // abs(lead)
 
 
 @dataclass(frozen=True)
 class RootInterval:
-    """One isolated real root: lo == hi for an exact rational root."""
+    """One isolated real root: lo == hi for an exact rational root, and
+    otherwise the root lies strictly between lo and hi."""
 
     lo: Fraction
     hi: Fraction
@@ -196,8 +189,8 @@ class RootReport:
         }
 
 
-def _isolate_square_free(f: FPoly, lo: Fraction, hi: Fraction,
-                         chain: list[FPoly]) -> list[tuple[Fraction, Fraction]]:
+def _isolate_square_free(f: IntPoly, lo: Fraction, hi: Fraction,
+                         chain: list[IntPoly]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for the roots of square-free f inside (lo, hi);
     both endpoints must be non-roots."""
     k = count_roots_between(chain, lo, hi)
@@ -226,7 +219,7 @@ def _isolate_square_free(f: FPoly, lo: Fraction, hi: Fraction,
     return _isolate_square_free(f, lo, mid, chain) + _isolate_square_free(f, mid, hi, chain)
 
 
-def _refine(f: FPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+def _refine(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink a one-root sign-changing interval below the requested width."""
     if lo == hi:
         return lo, hi
@@ -243,30 +236,25 @@ def _refine(f: FPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Frac
     return lo, hi
 
 
-def real_roots(p: IntPoly | Sequence, width: Fraction = DEFAULT_WIDTH) -> RootReport:
+def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
     """Isolate all real roots of p with multiplicities, refined to the
     requested interval width, and report exact realness/nonpositivity.
 
     >>> real_roots(IntPoly.from_coeffs([0, 1, 4, 1])).approx_values()
     ['-3.73205', '-0.26795', '0.00000']
     """
-    coeffs = list(p.coeffs) if isinstance(p, IntPoly) else list(p)
-    f = _to_fpoly(coeffs)
-    if not f:
+    if p.is_zero():
         raise ValueError("the zero polynomial has no root report")
-    degree = len(f) - 1
+    zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
+    f = IntPoly(p.coeffs[zero_mult:])
 
     roots: list[RootInterval] = []
-    zero_mult = 0
-    while f[0] == 0:
-        zero_mult += 1
-        f = f[1:]
     if zero_mult:
         roots.append(RootInterval(Fraction(0), Fraction(0), zero_mult))
 
     found = zero_mult
     positive = False
-    if len(f) > 1:
+    if f.degree > 0:
         bound = Fraction(cauchy_bound(f))
         for part, mult in square_free_parts(f):
             chain = sturm_chain(part)
@@ -281,12 +269,8 @@ def real_roots(p: IntPoly | Sequence, width: Fraction = DEFAULT_WIDTH) -> RootRe
                     positive = True
 
     roots.sort(key=lambda r: (r.lo, r.hi))
-    return RootReport(all_real=(found == degree), nonpositive=not positive,
+    return RootReport(all_real=(found == p.degree), nonpositive=not positive,
                       roots=tuple(roots))
-
-
-def _disjoint(a: RootInterval, b: RootInterval) -> bool:
-    return a.hi < b.lo or b.hi < a.lo
 
 
 @dataclass(frozen=True)
@@ -309,15 +293,19 @@ def _w_nm2_any(n: int) -> IntPoly:
     raise ValueError("n must be at least 2")
 
 
-def interlacing_pair_report(p: IntPoly, q: IntPoly, n: int,
-                            width: Fraction = DEFAULT_WIDTH) -> InterlacingReport:
+def interlacing_pair_report(p: IntPoly, q: IntPoly, n: int) -> InterlacingReport:
     """Check that p and q both have all-real, simple, nonpositive roots
     including 0, that q has exactly one more negative root than p, and
     that ascending from the most negative root the owners strictly
-    alternate q, p, q, ..., q."""
-    rp = real_roots(p, width)
-    rq = real_roots(q, width)
-    for label, rep in (("first", rp), ("second", rq)):
+    alternate q, p, q, ..., q.
+
+    For the last check, P = p/x and Q = q/x then have simple negative
+    roots, and they interlace exactly when gcd(P, Q) = 1 and the Wronskian
+    W = P Q' - P' Q has no real root: Q/P is then strictly monotone between
+    consecutive roots of P, so Q has one root in each of the deg P + 1 gaps.
+    """
+    for label, poly in (("first", p), ("second", q)):
+        rep = real_roots(poly)
         if not rep.all_real:
             return InterlacingReport(False, n, f"{label} polynomial has non-real roots")
         if any(r.multiplicity != 1 for r in rep.roots):
@@ -327,54 +315,27 @@ def interlacing_pair_report(p: IntPoly, q: IntPoly, n: int,
         if not any(r.exact and r.lo == 0 for r in rep.roots):
             return InterlacingReport(False, n, f"{label} polynomial lacks the root 0")
 
-    pneg = [r for r in rp.roots if r.hi < 0 or (not r.exact and r.lo < 0)]
-    qneg = [r for r in rq.roots if r.hi < 0 or (not r.exact and r.lo < 0)]
-    if not pneg and len(qneg) <= 1:
+    # Every root is real, simple and nonpositive, and 0 is one of them.
+    pneg, qneg = p.degree - 1, q.degree - 1
+    if pneg == 0 and qneg <= 1:
         return InterlacingReport(True, n, "degenerate: no interior roots to interlace")
-    if len(qneg) != len(pneg) + 1:
+    if qneg != pneg + 1:
         return InterlacingReport(
             False, n,
-            f"expected {len(pneg) + 1} negative roots in the second polynomial, got {len(qneg)}",
+            f"expected {pneg + 1} negative roots in the second polynomial, got {qneg}",
         )
 
-    # Refine until every p-interval is disjoint from every q-interval.
-    fp = _to_fpoly(p.coeffs)
-    fq = _to_fpoly(q.coeffs)
-    for _ in range(300):
-        overlap = None
-        for a in pneg:
-            for b in qneg:
-                if not _disjoint(a, b):
-                    overlap = (a, b)
-                    break
-            if overlap:
-                break
-        if overlap is None:
-            break
-        pneg = [
-            r if r.exact else
-            RootInterval(*_refine(fp, r.lo, r.hi, (r.hi - r.lo) / 2), r.multiplicity)
-            for r in pneg
-        ]
-        qneg = [
-            r if r.exact else
-            RootInterval(*_refine(fq, r.lo, r.hi, (r.hi - r.lo) / 2), r.multiplicity)
-            for r in qneg
-        ]
-    else:
+    P, Q = IntPoly(p.coeffs[1:]), IntPoly(q.coeffs[1:])
+    if poly_gcd(P, Q).degree > 0:
         return InterlacingReport(False, n, "could not separate a root pair (common root?)")
-
-    merged = sorted(
-        [("p", r) for r in pneg] + [("q", r) for r in qneg], key=lambda t: t[1].lo
-    )
-    expected = ["q" if i % 2 == 0 else "p" for i in range(len(merged))]
-    owners = [t[0] for t in merged]
-    if owners != expected:
-        return InterlacingReport(False, n, f"ordering violated: {owners}")
+    W = P * poly_derivative(Q) - poly_derivative(P) * Q
+    bound = Fraction(cauchy_bound(W))
+    if count_roots_between(sturm_chain(W), -bound, bound):
+        return InterlacingReport(False, n, "ordering violated")
     return InterlacingReport(True, n)
 
 
-def check_interlacing(n: int, width: Fraction = DEFAULT_WIDTH) -> InterlacingReport:
+def check_interlacing(n: int) -> InterlacingReport:
     """Verify that the degree-(n-2) descent polynomials at sizes n and n+1
     have all-real, distinct, nonpositive roots that strictly interlace:
     ascending from the most negative root the owners alternate
@@ -391,13 +352,13 @@ def check_interlacing(n: int, width: Fraction = DEFAULT_WIDTH) -> InterlacingRep
         # p = x has no negative roots, so there is nothing to interlace;
         # require only that both root sets are real, simple and nonpositive.
         for poly in (p, q):
-            rep = real_roots(poly, width)
+            rep = real_roots(poly)
             if not (rep.all_real and rep.nonpositive) or any(
                 r.multiplicity != 1 for r in rep.roots
             ):
                 return InterlacingReport(False, n, "degenerate case failed root checks")
         return InterlacingReport(True, n, "degenerate case: no negative roots at size 2")
-    report = interlacing_pair_report(p, q, n, width)
+    report = interlacing_pair_report(p, q, n)
     if not report.ok:
         return report
     # The generic checker accepted, so every root is real and simple and

@@ -97,8 +97,10 @@ class TestPolyAndCount:
         assert out.strip() == "42"
 
     def test_zigzag_free_requires_k(self, capsys):
-        status, _ = run(capsys, "count", "--what", "zigzag-free", "--n", "5")
+        status = main(["count", "--what", "zigzag-free", "--n", "5"])
+        err = capsys.readouterr().err
         assert status == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_zigzag_free_k_above_n_counts_everything(self, capsys):
         for flags in ((), ("--uninterrupted",)):
@@ -148,6 +150,16 @@ class TestTable:
             capsys, "table", "--n", "5", "--format", "json", "--cache-dir", str(tmp_path)
         )
         assert cold == warm
+
+    def test_unwritable_cache_dir_computes_only(self, capsys, tmp_path):
+        # A directory below a regular file cannot be created, even as root.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        status, out = run(capsys, "table", "--n", "4", "--cache-dir", str(blocker / "sub"))
+        _, fresh = run(capsys, "table", "--n", "4", "--no-cache")
+        assert status == 0
+        assert out == fresh
+        assert blocker.read_text() == ""
 
     def test_rejects_oversized_n(self, capsys):
         status, _ = run(capsys, "table", "--n", "13", "--no-cache")
@@ -201,8 +213,11 @@ class TestRoots:
         assert blob["report"]["all_real"] is True
 
     def test_missing_arguments(self, capsys):
-        status, _ = run(capsys, "roots")
-        assert status == 2
+        for argv in (["roots"], ["roots", "--n", "4"], ["roots", "--coeffs", "0 0"]):
+            status = main(argv)
+            err = capsys.readouterr().err
+            assert status == 2
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestAppendix:
@@ -259,11 +274,13 @@ class TestAppendix:
 
     def test_golden_file_without_entries(self, capsys, tmp_path):
         golden = tmp_path / "golden.json"
-        golden.write_text(json.dumps({"format_version": 1}))
-        status = main(["appendix", "--max-n", "1", "--golden", str(golden), "--no-cache"])
-        err = capsys.readouterr().err
-        assert status == 2
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        for blob in ({"format_version": 1}, {"format_version": 1, "entries": []},
+                     {"format_version": 2, "entries": []}):
+            golden.write_text(json.dumps(blob))
+            status = main(["appendix", "--max-n", "1", "--golden", str(golden), "--no-cache"])
+            err = capsys.readouterr().err
+            assert status == 2, blob
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, blob
 
 
 class TestUsageErrors:

@@ -158,19 +158,21 @@ class TestCache:
         assert all(type(c) is int for row in table.deg_des for c in row)
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("sorter, d", [("stack", 1), ("revstack", 2)])
-    def test_cell_moved_between_degree_rows_recomputed(self, tmp_path, sorter, d):
+    @pytest.mark.parametrize("sorter, n, d", [
+        ("stack", 4, 1), ("revstack", 4, 2), ("stack", 6, 3), ("revstack", 7, 4),
+    ])
+    def test_cell_moved_between_degree_rows_recomputed(self, tmp_path, sorter, n, d):
         # One permutation moves from degree d to d + 1 in its descent
-        # column: only the pinned t = 1 row (Narayana) or, for revstack,
-        # the pinned t = n-2 row can see it.
-        cached_descent_table(4, sorter, cache_dir=tmp_path)
-        path = tmp_path / f"table-{sorter}-4.json"
+        # column: only a pinned row can see it, here t = 1 (Narayana),
+        # t = n-2 or t = n-3 (the closed forms and West's counts).
+        cached_descent_table(n, sorter, cache_dir=tmp_path)
+        path = tmp_path / f"table-{sorter}-{n}.json"
         blob = json.loads(path.read_text())
         col = next(i for i, c in enumerate(blob["deg_des"][d]) if c)
         blob["deg_des"][d][col] -= 1
         blob["deg_des"][d + 1][col] += 1
         path.write_text(json.dumps(blob))
-        assert cached_descent_table(4, sorter, cache_dir=tmp_path) == descent_table(4, sorter)
+        assert cached_descent_table(n, sorter, cache_dir=tmp_path) == descent_table(n, sorter)
 
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMSORT_CACHE_DIR", str(tmp_path / "envcache"))

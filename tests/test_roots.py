@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revstack.polynomials import IntPoly
@@ -20,7 +20,8 @@ from revstack.roots import (
 def poly_from_roots(roots):
     p = IntPoly.from_coeffs([1])
     for r in roots:
-        p = p * IntPoly.from_coeffs([-r, 1])
+        r = Fraction(r)
+        p = p * IntPoly.from_coeffs([-r.numerator, r.denominator])
     return p
 
 
@@ -125,8 +126,7 @@ class TestSturmAdditivity:
         assert nprod == na + nb
 
     def test_count_roots_between(self):
-        f = [Fraction(c) for c in (0, 1, 4, 1)]  # x^3 + 4x^2 + x
-        chain = sturm_chain(f)
+        chain = sturm_chain(IntPoly.from_coeffs([0, 1, 4, 1]))  # x^3 + 4x^2 + x
         assert count_roots_between(chain, Fraction(-100), Fraction(100)) == 3
         assert count_roots_between(chain, Fraction(-1), Fraction(100)) == 2
         assert count_roots_between(chain, Fraction(1), Fraction(100)) == 0
@@ -177,3 +177,56 @@ class TestInterlacing:
         p = poly_from_roots([0, -2, -4])
         q = poly_from_roots([0, -1, -3, -5])
         assert interlacing_pair_report(p, q, 0).ok
+
+
+class TestKnownRootOracle:
+    """Polynomials built from known roots; the roots are the only oracle."""
+
+    @given(
+        st.dictionaries(
+            st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 5, 7])),
+            st.integers(1, 3), min_size=1, max_size=5,
+        ),
+        st.sampled_from([None, 1, 2, 5]),
+        st.sampled_from([1, -1, 3]),
+        st.sampled_from([Fraction(1, 10**7), Fraction(1, 1000), Fraction(1, 3)]),
+    )
+    # A Sturm chain whose degree drops by two: pseudo-division by lc(g)^3
+    # instead of |lc(g)|^3 would flip the sign of the next term.
+    @example({Fraction(-2): 1, Fraction(2, 3): 1}, 2, 1, Fraction(1, 10**7))
+    @settings(deadline=None, max_examples=60)
+    def test_isolation_brackets_known_roots(self, mults, quad, scale, width):
+        p = poly_from_roots([r for r, m in mults.items() for _ in range(m)]) * scale
+        if quad is not None:
+            p = p * IntPoly.from_coeffs([quad, 0, 1])  # x^2 + quad: no real root
+        rep = real_roots(p, width)
+        assert rep.all_real == (quad is None)
+        assert rep.nonpositive == all(r <= 0 for r in mults)
+        assert len(rep.roots) == len(mults)
+        for root, m in mults.items():
+            # A non-exact interval holds its root strictly inside.  Intervals
+            # of different multiplicities come from different square-free
+            # factors and may overlap, so count only those of the root's own.
+            hits = [iv for iv in rep.roots if iv.multiplicity == m
+                    and (iv.lo == root == iv.hi or iv.lo < root < iv.hi)]
+            assert len(hits) == 1, (root, rep)
+        assert all(iv.hi - iv.lo <= width for iv in rep.roots)
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_interlacing_verdict_matches_known_roots(self, data):
+        if data.draw(st.booleans()):
+            vals = sorted(data.draw(st.sets(st.integers(-15, -1), min_size=1, max_size=7)))
+            proots, qroots = set(vals[1::2]), set(vals[0::2])
+        else:
+            proots = data.draw(st.sets(st.integers(-15, -1), max_size=4))
+            qroots = data.draw(st.sets(st.integers(-15, -1), max_size=5))
+        owners = [owner for _, owner in sorted(
+            [(r, "p") for r in proots] + [(r, "q") for r in qroots]
+        )]
+        expected = (not proots and len(qroots) <= 1) or (
+            not proots & qroots and owners == ["q", "p"] * len(proots) + ["q"]
+        )
+        p = poly_from_roots(sorted(proots) + [0])
+        q = poly_from_roots(sorted(qroots) + [0])
+        assert interlacing_pair_report(p, q, 0).ok == expected
