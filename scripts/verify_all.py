@@ -49,7 +49,7 @@ def main() -> int:
         print(f"sorting-count comparison n={n}: {'ok' if report.ok else 'FAILED'}")
 
     for n in range(4, 9):
-        report = classify_degree_nm2(n)
+        report = classify_degree_nm2(n, jobs=args.jobs)
         if not report.ok:
             failures += 1
             print(f"  detail: {report.detail}")

@@ -7,8 +7,10 @@ uninterrupted k-zigzag.  These bracket the k-pass-sortable counts, which
 are printed alongside.  No closed form is asserted; the sequences are
 produced for study.
 
-Runtime grows steeply: n = 8 takes a few seconds, n = 9 about a minute,
-n = 10 tens of minutes on one core.
+Runtime grows steeply.  On a 2-core host with Python 3.11, --max-n 8
+took 5.6 s with --jobs 1 and 2.8 s with --jobs 2, and --max-n 9 took
+72 s and 39 s.  n = 10 was not timed; by extrapolation it takes tens of
+minutes on one core.
 """
 import argparse
 import sys
@@ -25,7 +27,7 @@ def main() -> int:
     args = parser.parse_args()
 
     for n in range(1, args.max_n + 1):
-        rows = zigzag_free_table(n)
+        rows = zigzag_free_table(n, jobs=args.jobs)
         table = descent_table(n, "revstack", jobs=args.jobs)
         print(f"n = {n}")
         print("  k  no-k-zigzag  k-pass-sortable  no-uninterrupted-k-zigzag")

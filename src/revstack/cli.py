@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
                 print(f"{mark} {check.name}{extra}")
             print("VERIFIED" if report.ok else "FAILED")
         return 0 if report.ok else 1
-    report = enumeration.classify_degree_nm2(args.n)
+    report = enumeration.classify_degree_nm2(args.n, args.jobs)
     if args.format == "json":
         _print_json(report.to_json())
     else:

@@ -2,18 +2,19 @@
 the degree-(n-2) classification, zigzag-free counts, and reproduction of
 the reference coefficient/root tables.
 
-Descent tables are sharded by the first element of the permutation: the n
-shards are independent, each accumulates exact integer counts, and the
-merge is componentwise addition in shard order, so results are identical
-for any worker count.  The theorem suite makes one lexicographic pass over
-S_n that computes T(w), S(w), the descent count and both degrees once per
-permutation and feeds them to every per-permutation check; each check
-reports the lexicographically least permutation it fails on.  Hard cap
-n <= 12.
+Every sweep of S_n goes through one engine, _sweep, which shards S_n by
+the first element of the permutation: the n shards are independent, and
+each consumer merges their exact results in shard order, so results are
+identical for any worker count.  The theorem suite is one sharded pass
+that computes T(w), S(w), the descent count and both degrees once per
+permutation, feeds them to every per-permutation check and fills both
+descent tables; each check reports the lexicographically least
+permutation it fails on.  Hard cap n <= 12.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -77,7 +78,26 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be within 1..{MAX_N} (got {n})")
 
 
-def _shard_counts(n: int, sorter: str, first: int) -> list[list[int]]:
+def _sweep(n: int, shard: Callable, jobs: Optional[int], *args) -> list:
+    """shard(n, first, *args) for each first element 1..n, in shard order.
+    jobs > 1 (None: one per CPU) runs the shards in a process pool; the
+    results do not depend on jobs because callers merge them by index."""
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    jobs = max(1, min(jobs, n))
+    if jobs == 1 or n <= 4:
+        return [shard(n, first, *args) for first in range(1, n + 1)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(shard, n, first, *args) for first in range(1, n + 1)]
+        return [f.result() for f in futures]
+
+
+def _add_counts(shards) -> tuple[tuple[int, ...], ...]:
+    """Componentwise sum of per-shard count matrices."""
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*shards))
+
+
+def _shard_counts(n: int, first: int, sorter: str) -> list[list[int]]:
     """counts[deg][des] over the shard of permutations starting with first."""
     degree = DEGREE[sorter]
     counts = [[0] * n for _ in range(n)]
@@ -128,29 +148,12 @@ class DescentTable:
 
 
 def descent_table(n: int, sorter: str = "revstack", jobs: Optional[int] = None) -> DescentTable:
-    """Enumerate S_n under the chosen sorter.  jobs > 1 runs the n
-    first-element shards in a process pool; the result is identical for
-    any jobs value because shards merge by index."""
+    """Enumerate S_n under the chosen sorter, sharded over jobs workers."""
     _check_n(n)
     if sorter not in DEGREE:
         raise ValueError(f"unknown sorter {sorter!r}; expected one of {SORTERS}")
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, n))
-    if jobs == 1 or n <= 4:
-        shards = [_shard_counts(n, sorter, first) for first in range(1, n + 1)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_shard_counts, n, sorter, first) for first in range(1, n + 1)
-            ]
-            shards = [f.result() for f in futures]
-    total = [[0] * n for _ in range(n)]
-    for shard in shards:
-        for d in range(n):
-            for i in range(n):
-                total[d][i] += shard[d][i]
-    return DescentTable(n, sorter, tuple(tuple(r) for r in total))
+    shards = _sweep(n, _shard_counts, jobs, sorter)
+    return DescentTable(n, sorter, _add_counts(shards))
 
 
 # -- result cache ----------------------------------------------------------
@@ -169,16 +172,25 @@ def _cache_path(cache_dir: Path, n: int, sorter: str) -> Path:
     return cache_dir / f"table-{sorter}-{n}.json"
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_rows() -> dict[tuple[int, int], tuple[int, ...]]:
+    """(n, t) -> coefficients of the packaged revstack reference rows."""
+    return {(e["n"], e["t"]): tuple(e["coeffs"]) for e in load_reference_tables()}
+
+
 def _is_sound(table: DescentTable) -> bool:
     """Integrity check for a table read from the cache: n x n integer
     cells summing to n!, the t = n-1 row equal to the Eulerian polynomial,
     the t = 0 row equal to x (only the identity sorts in no pass), the
     t = 1 row equal to the Narayana polynomial, and for n >= 4 the
     closed forms: the revstack t = n-2 and t = n-3 rows, and West's stack
-    counts for t = n-2 and t = n-3.  The pinned rows catch cells moved
+    counts for t = n-2 and t = n-3.  A revstack table whose size the
+    packaged reference rows cover (n <= 10) must match every one of them,
+    which fixes the whole table.  The pinned rows catch cells moved
     between degree rows of one descent column."""
     n = table.n
     cells = [c for row in table.deg_des for c in row]
+    reference = _reference_rows() if table.sorter == "revstack" else {}
     return (
         len(table.deg_des) == n
         and all(len(row) == n for row in table.deg_des)
@@ -192,6 +204,7 @@ def _is_sound(table: DescentTable) -> bool:
             if table.sorter == "revstack" else
             table.count(n - 2) == count_stack_nm2(n) and table.count(n - 3) == count_stack_nm3(n)
         ))
+        and all(table.row(t).coeffs == reference[n, t] for t in range(n) if (n, t) in reference)
     )
 
 
@@ -274,10 +287,6 @@ class SuiteReport:
 
     def to_json(self) -> dict:
         return {"n": self.n, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
-
-
-def _all_perms(n: int) -> Iterator[Word]:
-    return itertools.permutations(range(1, n + 1))
 
 
 def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
@@ -384,18 +393,20 @@ _PERMUTATION_CHECKS = (
 _INJECTION_CHECK = "descent-raising injection"
 
 
-def _check_permutations(n: int) -> list[CheckResult]:
-    """One lexicographic pass over S_n for every per-permutation check, the
-    descent-raising injection and the two-pass descent equidistribution.
-    A check that fails keeps its first counterexample and is skipped for
-    the rest of the pass."""
+def _check_shard(n: int, first: int) -> tuple:
+    """One lexicographic pass over the shard of S_n starting with first.
+    Returns the first counterexample of each failing per-permutation check;
+    the descent-raising injection's (h(w), w) pairs, up to the shard's
+    first injection failure, whose collisions the merge looks for; both
+    descent tables; and the descents of the permutations that
+    stack/reverse/stack sorts.  A check that fails is skipped for the rest
+    of the shard."""
     first_bad: dict[str, str] = {}
-    # h raises the descent count by exactly one, so images of permutations
-    # with different descent counts cannot collide and one dict serves all.
-    images: dict[Word, Word] = {}
-    two_stack = [0] * n
+    pairs: list[tuple[Word, Word]] = []
+    rev = [[0] * n for _ in range(n)]
+    st = [[0] * n for _ in range(n)]
     stack_rev_stack = [0] * n
-    for w in _all_perms(n):
+    for w in permutations_with_first(n, first):
         s = stack_sort_sim(w)
         t = revstack_sort_sim(w)
         des = descents(w)
@@ -408,24 +419,13 @@ def _check_permutations(n: int) -> list[CheckResult]:
             h = trees.injection_h(w)
             if descents(h) != des + 1 or stack_sort_sim(h) != s or revstack_sort_sim(h) != t:
                 first_bad[_INJECTION_CHECK] = format_permutation(w)
-            elif h in images:
-                first_bad[_INJECTION_CHECK] = f"collision: {images[h]} and {w} both map to {h}"
             else:
-                images[h] = w
-        if deg_s <= 2:
-            two_stack[des] += 1
+                pairs.append((h, w))
+        rev[deg_t][des] += 1
+        st[deg_s][des] += 1
         if is_identity(stack_sort_sim(reverse(s))):
             stack_rev_stack[des] += 1
-    names = [name for name, _ in _PERMUTATION_CHECKS] + [_INJECTION_CHECK]
-    checks = [CheckResult(name, name not in first_bad, first_bad.get(name, "")) for name in names]
-    # The descent statistic agrees on the sets sorted by two straight
-    # stack passes and by stack/reverse/stack.
-    equal = two_stack == stack_rev_stack
-    checks.append(CheckResult(
-        "two-pass descent equidistribution", equal,
-        "" if equal else f"{two_stack} != {stack_rev_stack}",
-    ))
-    return checks
+    return first_bad, pairs, rev, st, stack_rev_stack
 
 
 def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[CheckResult]:
@@ -494,13 +494,38 @@ def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[Che
 
 
 def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
-    """Run every exhaustive property check at size n: one in-process pass
-    over S_n for the per-permutation checks, then the two descent tables
-    (sharded over jobs workers) for the table checks."""
+    """Run every exhaustive property check at size n in one pass over S_n,
+    sharded over jobs workers (_check_shard).  The shards merge in order,
+    so each check reports its least counterexample for any jobs; the
+    descent tables the pass filled feed the table checks."""
     _check_n(n)
-    checks = _check_permutations(n)
-    rev = descent_table(n, "revstack", jobs)
-    st = descent_table(n, "stack", jobs)
+    bads, pair_lists, revs, sts, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs))
+    first_bad: dict[str, str] = {}
+    # h raises the descent count by exactly one, so images of permutations
+    # with different descent counts cannot collide and one dict serves all.
+    images: dict[Word, Word] = {}
+    for bad, pairs in zip(bads, pair_lists):
+        for h, w in pairs:
+            if _INJECTION_CHECK in first_bad:
+                break
+            if h in images:
+                first_bad[_INJECTION_CHECK] = f"collision: {images[h]} and {w} both map to {h}"
+            images[h] = w
+        for name, counterexample in bad.items():
+            first_bad.setdefault(name, counterexample)
+    names = [name for name, _ in _PERMUTATION_CHECKS] + [_INJECTION_CHECK]
+    checks = [CheckResult(name, name not in first_bad, first_bad.get(name, "")) for name in names]
+    rev = DescentTable(n, "revstack", _add_counts(revs))
+    st = DescentTable(n, "stack", _add_counts(sts))
+    # The descent statistic agrees on the sets sorted by two straight
+    # stack passes and by stack/reverse/stack.
+    two_stack = st.descent_counts(min(2, n - 1))
+    stack_rev_stack = [sum(column) for column in zip(*stack_rev_stacks)]
+    equal = two_stack == stack_rev_stack
+    checks.append(CheckResult(
+        "two-pass descent equidistribution", equal,
+        "" if equal else f"{two_stack} != {stack_rev_stack}",
+    ))
     checks.extend(_check_table_structure(n, rev, st))
     checks.extend(_check_closed_forms(n, rev, st))
     if n >= 3:
@@ -665,10 +690,13 @@ class ClassificationReport:
         return {"n": self.n, "ok": self.ok, "sizes": self.sizes, "detail": self.detail}
 
 
-def classify_degree_nm2(n: int) -> ClassificationReport:
+def classify_degree_nm2(n: int, jobs: Optional[int] = None) -> ClassificationReport:
     """Materialise the six families, then verify they are pairwise
     disjoint, cover exactly the degree-(n-2) permutations, and contribute
-    the expected descent polynomials."""
+    the expected descent polynomials.  Coverage holds when every member
+    has degree n-2 and, the families being disjoint, the members number
+    as many as the degree-(n-2) permutations of the revstack descent
+    table (sharded over jobs workers)."""
     if not 4 <= n <= 10:
         raise ValueError("classification supported for 4 <= n <= 10")
     classes = degree_nm2_classes(n)
@@ -703,41 +731,43 @@ def classify_degree_nm2(n: int) -> ClassificationReport:
                 f"class {group} polynomial {list(got.coeffs)} != expected {list(expected.coeffs)}",
             )
 
-    target = {w for w in _all_perms(n) if deg_revstack(w) == n - 2}
-    if set(seen) != target:
-        missing = target - set(seen)
-        extra = set(seen) - target
+    extra = sum(deg_revstack(w) != n - 2 for w in seen)
+    missing = sum(descent_table(n, "revstack", jobs).deg_des[n - 2]) - (len(seen) - extra)
+    if missing or extra:
         return ClassificationReport(
-            n, False, sizes,
-            f"coverage mismatch: {len(missing)} missing, {len(extra)} extra",
+            n, False, sizes, f"coverage mismatch: {missing} missing, {extra} extra"
         )
     return ClassificationReport(n, True, sizes)
 
 
 # -- zigzag-free counting ----------------------------------------------------
 
-def zigzag_free_table(n: int) -> dict[int, tuple[int, int]]:
+def _zigzag_shard(n: int, first: int) -> tuple[list[int], list[int]]:
+    """Histograms of maxz + 1 and maxu + 1 over the shard starting with
+    first, asserting the bracketing maxu < degree <= maxz + 1."""
+    hz = [0] * (n + 1)
+    hu = [0] * (n + 1)
+    for w in permutations_with_first(n, first):
+        maxz, maxu = zigzag.zigzag_degrees(w)
+        if not maxu < deg_revstack(w) <= maxz + 1:
+            raise AssertionError(f"zigzag bracketing violated at {w}")
+        hz[maxz + 1] += 1
+        hu[maxu + 1] += 1
+    return hz, hu
+
+
+def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int, int]]:
     """For each k in 0..n: (number of permutations in S_n containing no
-    k-zigzag, number containing no uninterrupted k-zigzag).  One
-    enumeration pass, which also asserts, permutation by permutation, the
-    bracketing max-uninterrupted-degree < sorting degree <= max-degree + 1
-    that makes these counts bound the t-sortable counts.  Every k > n
-    gives the k = n counts (n!)."""
+    k-zigzag, number containing no uninterrupted k-zigzag).  One pass over
+    S_n, sharded over jobs workers, which also asserts, permutation by
+    permutation, the bracketing max-uninterrupted-degree < sorting degree
+    <= max-degree + 1 that makes these counts bound the t-sortable counts.
+    Every k > n gives the k = n counts (n!)."""
     if not 1 <= n <= 10:
         raise ValueError("zigzag-free counting supported for n <= 10")
-    freez = [0] * (n + 1)
-    freeu = [0] * (n + 1)
-    for w in _all_perms(n):
-        maxz, maxu = zigzag.zigzag_degrees(w)
-        d = deg_revstack(w)
-        if not maxu < d <= maxz + 1:
-            raise AssertionError(f"zigzag bracketing violated at {w}")
-        for k in range(n + 1):
-            if maxz < k:
-                freez[k] += 1
-            if maxu < k:
-                freeu[k] += 1
-    return {k: (freez[k], freeu[k]) for k in range(n + 1)}
+    hz, hu = _add_counts(_sweep(n, _zigzag_shard, jobs))
+    # No k-zigzag means maxz < k, that is maxz + 1 <= k.
+    return {k: (sum(hz[:k + 1]), sum(hu[:k + 1])) for k in range(n + 1)}
 
 
 # -- reference table reproduction -------------------------------------------

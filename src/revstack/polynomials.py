@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class IntPoly:
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __iter__(self) -> Iterator[int]:
+        # __getitem__ gives 0 past the end, so iteration must not use it.
+        return iter(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         m = max(len(self.coeffs), len(other.coeffs))

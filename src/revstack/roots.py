@@ -13,6 +13,7 @@ are rounded half-even to five places.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -236,6 +237,26 @@ def _refine(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fr
     return lo, hi
 
 
+def _separate(isolated: list[tuple[IntPoly, int, Fraction, Fraction]]) -> None:
+    """Make the (part, mult, lo, hi) root intervals pairwise disjoint in
+    place: bisect, each on its own square-free part, every interval that
+    overlaps one of another part; intervals may share an endpoint.
+    Different parts have no common root, so this ends."""
+    while True:
+        clashing = {
+            k
+            for a, b in itertools.combinations(range(len(isolated)), 2)
+            if isolated[a][1] != isolated[b][1]
+            and isolated[a][2] < isolated[b][3] and isolated[b][2] < isolated[a][3]
+            for k in (a, b)
+        }
+        if not clashing:
+            return
+        for k in clashing:
+            part, mult, lo, hi = isolated[k]
+            isolated[k] = (part, mult, *_refine(part, lo, hi, (hi - lo) / 2))
+
+
 def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
     """Isolate all real roots of p with multiplicities, refined to the
     requested interval width, and report exact realness/nonpositivity.
@@ -252,8 +273,7 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
     if zero_mult:
         roots.append(RootInterval(Fraction(0), Fraction(0), zero_mult))
 
-    found = zero_mult
-    positive = False
+    isolated: list[tuple[IntPoly, int, Fraction, Fraction]] = []
     if f.degree > 0:
         bound = Fraction(cauchy_bound(f))
         for part, mult in square_free_parts(f):
@@ -261,16 +281,14 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
             # 0 is not a root of f here, so split there: intervals never straddle 0.
             neg = _isolate_square_free(part, -bound, Fraction(0), chain)
             pos = _isolate_square_free(part, Fraction(0), bound, chain)
-            for lo, hi in neg + pos:
-                lo, hi = _refine(part, lo, hi, width)
-                roots.append(RootInterval(lo, hi, mult))
-                found += mult
-                if lo >= 0 and (lo, hi) != (0, 0):
-                    positive = True
+            isolated.extend((part, mult, *_refine(part, lo, hi, width)) for lo, hi in neg + pos)
+    _separate(isolated)
+    roots.extend(RootInterval(lo, hi, mult) for _, mult, lo, hi in isolated)
 
     roots.sort(key=lambda r: (r.lo, r.hi))
-    return RootReport(all_real=(found == p.degree), nonpositive=not positive,
-                      roots=tuple(roots))
+    # No interval straddles 0, so a root is positive exactly when hi > 0.
+    return RootReport(all_real=sum(r.multiplicity for r in roots) == p.degree,
+                      nonpositive=all(r.hi <= 0 for r in roots), roots=tuple(roots))
 
 
 @dataclass(frozen=True)

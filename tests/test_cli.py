@@ -195,6 +195,16 @@ class TestVerify:
         assert json.loads(out)["ok"] is True
 
 
+    @pytest.mark.parametrize("suite, n", [("theorems", "6"), ("classification", "7")])
+    def test_jobs_values_agree(self, capsys, suite, n):
+        outputs = [
+            run(capsys, "verify", "--suite", suite, "--n", n, "--jobs", jobs)
+            for jobs in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+
 class TestRoots:
     def test_coeffs(self, capsys):
         status, out = run(capsys, "roots", "--coeffs", "0 1 4 1")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -20,7 +21,7 @@ from revstack.enumeration import (
     verify_theorems,
     zigzag_free_table,
 )
-from revstack import patterns
+from revstack import patterns, trees
 from revstack.perms import deg_revstack
 from revstack.polynomials import (
     IntPoly,
@@ -158,19 +159,20 @@ class TestCache:
         assert all(type(c) is int for row in table.deg_des for c in row)
         assert list(tmp_path.iterdir()) == [path]
 
-    @pytest.mark.parametrize("sorter, n, d", [
-        ("stack", 4, 1), ("revstack", 4, 2), ("stack", 6, 3), ("revstack", 7, 4),
-    ])
-    def test_cell_moved_between_degree_rows_recomputed(self, tmp_path, sorter, n, d):
-        # One permutation moves from degree d to d + 1 in its descent
-        # column: only a pinned row can see it, here t = 1 (Narayana),
-        # t = n-2 or t = n-3 (the closed forms and West's counts).
+    @pytest.mark.parametrize("sorter, n, src, dst, col", [
+        ("stack", 4, 1, 2, 1), ("revstack", 4, 2, 3, 1), ("stack", 6, 3, 4, 1),
+        ("revstack", 7, 4, 5, 1), ("revstack", 7, 3, 2, 3),
+    ], ids=["stack-4-1", "revstack-4-2", "stack-6-3", "revstack-7-4", "revstack-7-3"])
+    def test_cell_moved_between_degree_rows_recomputed(self, tmp_path, sorter, n, src, dst, col):
+        # One permutation moves from degree src to dst in its descent
+        # column: only a checked row can see it, here t = 1 (Narayana),
+        # t = n-2 or t = n-3 (the closed forms and West's counts), or the
+        # unpinned revstack row t = 2 at n = 7 (the packaged reference rows).
         cached_descent_table(n, sorter, cache_dir=tmp_path)
         path = tmp_path / f"table-{sorter}-{n}.json"
         blob = json.loads(path.read_text())
-        col = next(i for i, c in enumerate(blob["deg_des"][d]) if c)
-        blob["deg_des"][d][col] -= 1
-        blob["deg_des"][d + 1][col] += 1
+        blob["deg_des"][src][col] -= 1
+        blob["deg_des"][dst][col] += 1
         path.write_text(json.dumps(blob))
         assert cached_descent_table(n, sorter, cache_dir=tmp_path) == descent_table(n, sorter)
 
@@ -243,6 +245,25 @@ class TestTheoremSuite:
         ]
         assert failed[0].counterexample == "2 4 3 1 5"
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the injected faults")
+    def test_injected_faults_give_one_report_for_any_jobs(self, monkeypatch):
+        # the 2431 check fails in shards 2, 4 and 5; h maps (6 1 2 3 4 5), in
+        # the last shard, onto the image of (2 1 3 4 5 6), which has the same
+        # descent count and the same S and T images
+        wrong = {(5, 3, 1, 2, 4, 6), (4, 6, 1, 2, 3, 5), (2, 6, 5, 1, 3, 4)}
+        member = patterns.is_member_T2
+        monkeypatch.setattr(patterns, "is_member_T2", lambda w: member(w) != (w in wrong))
+        early, late = (2, 1, 3, 4, 5, 6), (6, 1, 2, 3, 4, 5)
+        h = trees.injection_h
+        monkeypatch.setattr(trees, "injection_h", lambda w: h(early) if w == late else h(w))
+        reports = [verify_theorems(6, jobs) for jobs in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        assert {c.name: c.counterexample for c in reports[0].checks if not c.ok} == {
+            "two-pass sortable iff avoids 2431 and barred 241(5)3": "2 6 5 1 3 4",
+            "descent-raising injection": f"collision: {early} and {late} both map to {h(early)}",
+        }
+
     @pytest.mark.parametrize("cells, expected", [
         ([(1, 0, 1)], {
             "table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1": "symmetry at t=1",
@@ -286,6 +307,9 @@ class TestClassification:
                 for w in spec.members():
                     assert deg_revstack(w) == n - 2
 
+    def test_determinism_across_jobs(self):
+        assert classify_degree_nm2(7, jobs=1) == classify_degree_nm2(7, jobs=2)
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             classify_degree_nm2(3)
@@ -319,6 +343,9 @@ class TestZigzagFree:
         for k, (free, free_u) in rows.items():
             assert free == sum(find_zigzag(w, k) is None for w in perms)
             assert free_u == sum(find_uninterrupted_zigzag(w, k) is None for w in perms)
+
+    def test_determinism_across_jobs(self):
+        assert zigzag_free_table(7, jobs=1) == zigzag_free_table(7, jobs=2)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

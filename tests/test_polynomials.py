@@ -51,6 +51,9 @@ class TestIntPoly:
         assert p.degree == 3
         assert p[2] == 4
         assert p[7] == 0
+        # iteration ends at the last coefficient, although indexing past it gives 0
+        assert list(p) == list(p.coeffs)
+        assert list(IntPoly.zero()) == []
 
     @given(
         st.lists(st.integers(-9, 9), max_size=6),

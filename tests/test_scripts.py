@@ -14,3 +14,14 @@ def test_zigzag_free_counts_script():
     assert proc.returncode == 0, proc.stderr
     # k = n - 1 = 4: every permutation of S_5 is counted in all three columns
     assert proc.stdout.splitlines()[-3] == "  4          120              120                        120"
+
+
+def test_zigzag_free_counts_script_jobs_agree():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "scripts/zigzag_free_counts.py", "--max-n", "6", "--jobs", jobs],
+            cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for jobs in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
