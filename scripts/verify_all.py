@@ -3,10 +3,13 @@
 
 Covers the exhaustive theorem suites, the sorting-count comparison, the
 degree-(n-2) classification, and the reference-table reproduction.  The
---full flag re-enumerates the n = 9, 10 reference coefficients too
-(about a minute of extra single-core work).
+last three share one memoised table(n, sorter) source, so each descent
+table they read is enumerated once.  The --full flag re-enumerates the
+n = 9, 10 reference coefficients too (about a minute of extra
+single-core work).
 """
 import argparse
+import functools
 import sys
 import time
 
@@ -32,6 +35,7 @@ def main() -> int:
 
     failures = 0
     t0 = time.time()
+    table = functools.lru_cache(maxsize=None)(functools.partial(descent_table, jobs=args.jobs))
 
     for n in range(1, args.max_n + 1):
         report = verify_theorems(n, jobs=args.jobs)
@@ -43,13 +47,13 @@ def main() -> int:
               f" ({len(report.checks)} checks)")
 
     for n in range(1, 10):
-        report = verify_steingrimsson(n, jobs=args.jobs)
+        report = verify_steingrimsson(n, table)
         if not report.ok:
             failures += 1
         print(f"sorting-count comparison n={n}: {'ok' if report.ok else 'FAILED'}")
 
     for n in range(4, 9):
-        report = classify_degree_nm2(n, jobs=args.jobs)
+        report = classify_degree_nm2(n, table)
         if not report.ok:
             failures += 1
             print(f"  detail: {report.detail}")
@@ -57,9 +61,7 @@ def main() -> int:
               f" ({sum(report.sizes.values())} permutations)")
 
     max_n = 10 if args.full else 8
-    report = reproduce_appendix(
-        enumerate_max_n=max_n, table=lambda n: descent_table(n, "revstack", args.jobs)
-    )
+    report = reproduce_appendix(enumerate_max_n=max_n, table=table)
     for m in report.mismatches:
         failures += 1
         print(f"FAIL reference table (n={m.n}, t={m.t}): {m.what}")

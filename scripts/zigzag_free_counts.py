@@ -4,20 +4,20 @@
 For each size n up to --max-n, prints for every degree k the number of
 permutations containing no k-zigzag and the number containing no
 uninterrupted k-zigzag.  These bracket the k-pass-sortable counts, which
-are printed alongside.  No closed form is asserted; the sequences are
-produced for study.
+are printed alongside.  All three columns come from one sweep of S_n per
+n.  No closed form is asserted; the sequences are produced for study.
 
-Runtime grows steeply.  On a 2-core host with Python 3.11, --max-n 8
-took 5.6 s with --jobs 1 and 2.8 s with --jobs 2, and --max-n 9 took
-72 s and 39 s.  n = 10 was not timed; by extrapolation it takes tens of
-minutes on one core.
+Runtime grows steeply.  On a shared 2-core host with Python 3.11,
+--max-n 8 took 4.5 s with --jobs 1 and 3.2 s with --jobs 2, and
+--max-n 9 took 69 s and 50 s.  n = 10 was not timed; by extrapolation it
+takes tens of minutes on one core.
 """
 import argparse
 import sys
 
 sys.path.insert(0, "src")
 
-from revstack.enumeration import descent_table, zigzag_free_table
+from revstack.enumeration import zigzag_free_table
 
 
 def main() -> int:
@@ -28,16 +28,14 @@ def main() -> int:
 
     for n in range(1, args.max_n + 1):
         rows = zigzag_free_table(n, jobs=args.jobs)
-        table = descent_table(n, "revstack", jobs=args.jobs)
         print(f"n = {n}")
         print("  k  no-k-zigzag  k-pass-sortable  no-uninterrupted-k-zigzag")
         for k in range(n):
-            lo, hi = rows[k]
-            mid = table.count(k)
+            lo, mid, hi = rows[k]
             assert lo <= mid <= hi
             print(f"  {k}  {lo:>11}  {mid:>15}  {hi:>25}")
         free_series = [rows[k][0] for k in range(n + 1)]
-        free_u_series = [rows[k][1] for k in range(n + 1)]
+        free_u_series = [rows[k][2] for k in range(n + 1)]
         print(f"  no-zigzag series by k:              {free_series}")
         print(f"  no-uninterrupted-zigzag series by k: {free_u_series}")
     return 0

@@ -10,6 +10,7 @@ Exit status: 0 success / verified, 1 verification failure or mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -133,15 +134,16 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _get_table(args, n: int, sorter: str) -> enumeration.DescentTable:
-    """The descent table, through the cache unless --no-cache is given."""
+def _table_source(args):
+    """table(n, sorter), through the cache unless --no-cache is given."""
     if args.no_cache:
-        return enumeration.descent_table(n, sorter, args.jobs)
-    return enumeration.cached_descent_table(n, sorter, args.jobs, args.cache_dir)
+        return functools.partial(enumeration.descent_table, jobs=args.jobs)
+    return functools.partial(enumeration.cached_descent_table, jobs=args.jobs,
+                             cache_dir=args.cache_dir)
 
 
 def _cmd_table(args) -> int:
-    table = _get_table(args, args.n, args.sorter)
+    table = _table_source(args)(args.n, args.sorter)
     if args.format == "json":
         _print_json(table.to_json())
     elif args.format == "csv":
@@ -157,8 +159,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    table = functools.partial(enumeration.descent_table, jobs=args.jobs)
     if args.suite == "steingrimsson":
-        report = enumeration.verify_steingrimsson(args.n, args.jobs)
+        report = enumeration.verify_steingrimsson(args.n, table)
         if args.format == "json":
             _print_json(report.to_json())
         else:
@@ -179,7 +182,7 @@ def _cmd_verify(args) -> int:
                 print(f"{mark} {check.name}{extra}")
             print("VERIFIED" if report.ok else "FAILED")
         return 0 if report.ok else 1
-    report = enumeration.classify_degree_nm2(args.n, args.jobs)
+    report = enumeration.classify_degree_nm2(args.n, table)
     if args.format == "json":
         _print_json(report.to_json())
     else:
@@ -196,8 +199,7 @@ def _cmd_roots(args) -> int:
     else:
         if args.n is None or args.t is None:
             raise ValueError("roots: provide either --coeffs or both --n and --t")
-        table = _get_table(args, args.n, "revstack")
-        poly = table.row(args.t)
+        poly = _table_source(args)(args.n, "revstack").row(args.t)
     width = Fraction(args.width) if args.width else DEFAULT_WIDTH
     report = real_roots(poly, width)
     if args.format == "json":
@@ -215,8 +217,8 @@ def _cmd_count(args) -> int:
             raise ValueError("count zigzag-free requires --k")
         if args.k < 0:
             raise ValueError("k must be non-negative")
-        table = enumeration.zigzag_free_table(args.n)
-        value = table[min(args.k, args.n)][args.uninterrupted]
+        counts = enumeration.zigzag_free_table(args.n)[min(args.k, args.n)]
+        value = counts[2 if args.uninterrupted else 0]
     else:
         value = COUNT_MAKERS[args.what](args.n)
     if args.format == "json":
@@ -231,7 +233,7 @@ def _cmd_appendix(args) -> int:
     report = enumeration.reproduce_appendix(
         enumerate_max_n=args.max_n,
         entries=entries,
-        table=lambda n: _get_table(args, n, "revstack"),
+        table=_table_source(args),
     )
     if args.format == "json":
         _print_json(report.to_json())

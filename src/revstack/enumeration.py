@@ -10,6 +10,11 @@ that computes T(w), S(w), the descent count and both degrees once per
 permutation, feeds them to every per-permutation check and fills both
 descent tables; each check reports the lexicographically least
 permutation it fails on.  Hard cap n <= 12.
+
+verify_steingrimsson, classify_degree_nm2 and reproduce_appendix read
+descent tables only through a table(n, sorter) callable (default
+descent_table); one memoised callable shared between them sweeps each
+(n, sorter) table once.
 """
 from __future__ import annotations
 
@@ -119,24 +124,16 @@ class DescentTable:
     sorter: str
     deg_des: tuple[tuple[int, ...], ...]
 
-    def row(self, t: int) -> IntPoly:
-        if not 0 <= t <= self.n - 1:
-            raise ValueError(f"t must be in 0..{self.n - 1}")
-        coeffs = [0] * (self.n + 1)
-        for d in range(t + 1):
-            for i, c in enumerate(self.deg_des[d]):
-                coeffs[i + 1] += c
-        return IntPoly.from_coeffs(coeffs)
-
-    def count(self, t: int) -> int:
-        if not 0 <= t <= self.n - 1:
-            raise ValueError(f"t must be in 0..{self.n - 1}")
-        return sum(sum(self.deg_des[d]) for d in range(t + 1))
-
     def descent_counts(self, t: int) -> list[int]:
         if not 0 <= t <= self.n - 1:
             raise ValueError(f"t must be in 0..{self.n - 1}")
-        return [sum(self.deg_des[d][i] for d in range(t + 1)) for i in range(self.n)]
+        return [sum(column) for column in zip(*self.deg_des[:t + 1])]
+
+    def row(self, t: int) -> IntPoly:
+        return IntPoly.from_coeffs([0, *self.descent_counts(t)])
+
+    def count(self, t: int) -> int:
+        return sum(self.descent_counts(t))
 
     def to_json(self) -> dict:
         return {
@@ -569,28 +566,18 @@ class SteingrimssonReport:
         }
 
 
-def verify_steingrimsson(n: int, jobs: Optional[int] = None,
-                         tables: Optional[tuple[DescentTable, DescentTable]] = None
-                         ) -> SteingrimssonReport:
-    """Compare t-stack-sortable and t-revstack-sortable counts for all t:
-    the stack count never exceeds the revstack count, strictly so exactly
-    when 2 < t < n-1."""
+def verify_steingrimsson(
+    n: int, table: Callable[[int, str], DescentTable] = descent_table
+) -> SteingrimssonReport:
+    """Compare t-stack-sortable and t-revstack-sortable counts for all t,
+    read from table(n, "revstack") and table(n, "stack"): the stack count
+    never exceeds the revstack count, strictly so exactly when
+    2 < t < n-1."""
     _check_n(n)
-    if tables is None:
-        rev = descent_table(n, "revstack", jobs)
-        st = descent_table(n, "stack", jobs)
-    else:
-        rev, st = tables
-    rows = []
-    ok = True
-    for t in range(n):
-        s_count, t_count = st.count(t), rev.count(t)
-        rows.append(SteingrimssonRow(t, s_count, t_count))
-        if s_count > t_count:
-            ok = False
-        if (2 < t < n - 1) != (s_count < t_count):
-            ok = False
-    return SteingrimssonReport(n, tuple(rows), ok)
+    rev, st = table(n, "revstack"), table(n, "stack")
+    rows = tuple(SteingrimssonRow(t, st.count(t), rev.count(t)) for t in range(n))
+    ok = all(r.stack_count <= r.revstack_count and r.strict == (2 < r.t < n - 1) for r in rows)
+    return SteingrimssonReport(n, rows, ok)
 
 
 # -- the degree-(n-2) classification ----------------------------------------
@@ -690,13 +677,15 @@ class ClassificationReport:
         return {"n": self.n, "ok": self.ok, "sizes": self.sizes, "detail": self.detail}
 
 
-def classify_degree_nm2(n: int, jobs: Optional[int] = None) -> ClassificationReport:
+def classify_degree_nm2(
+    n: int, table: Callable[[int, str], DescentTable] = descent_table
+) -> ClassificationReport:
     """Materialise the six families, then verify they are pairwise
     disjoint, cover exactly the degree-(n-2) permutations, and contribute
     the expected descent polynomials.  Coverage holds when every member
     has degree n-2 and, the families being disjoint, the members number
-    as many as the degree-(n-2) permutations of the revstack descent
-    table (sharded over jobs workers)."""
+    as many as the degree-(n-2) permutations of table(n, "revstack"),
+    which is asked for only once the families and polynomials pass."""
     if not 4 <= n <= 10:
         raise ValueError("classification supported for 4 <= n <= 10")
     classes = degree_nm2_classes(n)
@@ -706,9 +695,7 @@ def classify_degree_nm2(n: int, jobs: Optional[int] = None) -> ClassificationRep
     sizes: dict[str, int] = {}
     polys: dict[str, IntPoly] = {}
     for spec in classes:
-        group = "d-odd" if spec.name.startswith("d-odd") else (
-            "d-even" if spec.name.startswith("d-even") else spec.name
-        )
+        group = spec.name.split("-i")[0]  # d-odd-i1, d-odd-i3, ... form group d-odd
         count = 0
         coeffs = [0] * (n + 1)
         for w in spec.members():
@@ -732,7 +719,7 @@ def classify_degree_nm2(n: int, jobs: Optional[int] = None) -> ClassificationRep
             )
 
     extra = sum(deg_revstack(w) != n - 2 for w in seen)
-    missing = sum(descent_table(n, "revstack", jobs).deg_des[n - 2]) - (len(seen) - extra)
+    missing = sum(table(n, "revstack").deg_des[n - 2]) - (len(seen) - extra)
     if missing or extra:
         return ClassificationReport(
             n, False, sizes, f"coverage mismatch: {missing} missing, {extra} extra"
@@ -742,32 +729,37 @@ def classify_degree_nm2(n: int, jobs: Optional[int] = None) -> ClassificationRep
 
 # -- zigzag-free counting ----------------------------------------------------
 
-def _zigzag_shard(n: int, first: int) -> tuple[list[int], list[int]]:
-    """Histograms of maxz + 1 and maxu + 1 over the shard starting with
-    first, asserting the bracketing maxu < degree <= maxz + 1."""
+def _zigzag_shard(n: int, first: int) -> tuple[list[int], list[int], list[int]]:
+    """Histograms of maxz + 1, the revstack degree and maxu + 1 over the
+    shard starting with first, asserting the bracketing
+    maxu < degree <= maxz + 1."""
     hz = [0] * (n + 1)
+    hd = [0] * (n + 1)
     hu = [0] * (n + 1)
     for w in permutations_with_first(n, first):
         maxz, maxu = zigzag.zigzag_degrees(w)
-        if not maxu < deg_revstack(w) <= maxz + 1:
+        degree = deg_revstack(w)
+        if not maxu < degree <= maxz + 1:
             raise AssertionError(f"zigzag bracketing violated at {w}")
         hz[maxz + 1] += 1
+        hd[degree] += 1
         hu[maxu + 1] += 1
-    return hz, hu
+    return hz, hd, hu
 
 
-def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int, int]]:
+def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int, int, int]]:
     """For each k in 0..n: (number of permutations in S_n containing no
-    k-zigzag, number containing no uninterrupted k-zigzag).  One pass over
-    S_n, sharded over jobs workers, which also asserts, permutation by
-    permutation, the bracketing max-uninterrupted-degree < sorting degree
-    <= max-degree + 1 that makes these counts bound the t-sortable counts.
-    Every k > n gives the k = n counts (n!)."""
+    k-zigzag, number sortable by k revstack passes, number containing no
+    uninterrupted k-zigzag).  One pass over S_n, sharded over jobs
+    workers, which also asserts, permutation by permutation, the
+    bracketing max-uninterrupted-degree < sorting degree <= max-degree + 1
+    that makes the outer counts bound the middle one.  Every k > n gives
+    the k = n counts (n!)."""
     if not 1 <= n <= 10:
-        raise ValueError("zigzag-free counting supported for n <= 10")
-    hz, hu = _add_counts(_sweep(n, _zigzag_shard, jobs))
+        raise ValueError("zigzag-free counting supported for 1 <= n <= 10")
+    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs))
     # No k-zigzag means maxz < k, that is maxz + 1 <= k.
-    return {k: (sum(hz[:k + 1]), sum(hu[:k + 1])) for k in range(n + 1)}
+    return {k: (sum(hz[:k + 1]), sum(hd[:k + 1]), sum(hu[:k + 1])) for k in range(n + 1)}
 
 
 # -- reference table reproduction -------------------------------------------
@@ -834,18 +826,18 @@ class AppendixReport:
 def reproduce_appendix(
     enumerate_max_n: int = 8,
     entries: Optional[list[dict]] = None,
-    table: Callable[[int], DescentTable] = descent_table,
+    table: Callable[[int, str], DescentTable] = descent_table,
 ) -> AppendixReport:
     """Compare the reference tables against this implementation:
-    coefficients bit-exactly against table(n), the revstack descent table,
-    for n <= enumerate_max_n, and root lists against Sturm isolation within
+    coefficients bit-exactly against table(n, "revstack") for
+    n <= enumerate_max_n, and root lists against Sturm isolation within
     ROOT_TOLERANCE for every listed size."""
     if entries is None:
         entries = load_reference_tables()
     mismatches: list[AppendixMismatch] = []
     sizes = sorted({e["n"] for e in entries})
     enumerated = [n for n in sizes if n <= enumerate_max_n]
-    tables = {n: table(n) for n in enumerated}
+    tables = {n: table(n, "revstack") for n in enumerated}
 
     for e in entries:
         n, t = e["n"], e["t"]

@@ -266,6 +266,8 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root report")
+    if width <= 0:
+        raise ValueError(f"width must be positive (got {width})")
     zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
     f = IntPoly(p.coeffs[zero_mult:])
 

@@ -125,9 +125,7 @@ def test_criterion_5_steingrimsson(get_table, capsys):
     """|t-stack-sortable| <= |t-revstack-sortable| for n <= 9 and all t,
     strictly exactly when 2 < t < n-1; the CLI suite exits 0."""
     for n in range(1, 10):
-        report = verify_steingrimsson(
-            n, tables=(get_table(n, "revstack"), get_table(n, "stack"))
-        )
+        report = verify_steingrimsson(n, table=get_table)
         assert report.ok, (n, report.to_json())
     status = main(["verify", "--suite", "steingrimsson", "--n", "6"])
     capsys.readouterr()

@@ -223,7 +223,11 @@ class TestRoots:
         assert blob["report"]["all_real"] is True
 
     def test_missing_arguments(self, capsys):
-        for argv in (["roots"], ["roots", "--n", "4"], ["roots", "--coeffs", "0 0"]):
+        for argv in (
+            ["roots"], ["roots", "--n", "4"], ["roots", "--coeffs", "0 0"],
+            ["roots", "--coeffs", "0 1 4 1", "--width", "0"],
+            ["roots", "--coeffs", "0 1 4 1", "--width", "-1"],
+        ):
             status = main(argv)
             err = capsys.readouterr().err
             assert status == 2

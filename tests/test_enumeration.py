@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import multiprocessing
+from functools import partial
 
 import pytest
 
@@ -39,6 +40,26 @@ def catalan(n):
 def two_stack_sortable(n):
     """Zeilberger's count of two-stack-sortable permutations of size n."""
     return 2 * math.factorial(3 * n) // (math.factorial(n + 1) * math.factorial(2 * n + 1))
+
+
+def moved_cells(table, src, dst, col, k=1):
+    """table with k permutations of descent count col moved from degree
+    src to degree dst."""
+    deg_des = [list(row) for row in table.deg_des]
+    deg_des[src][col] -= k
+    deg_des[dst][col] += k
+    return DescentTable(table.n, table.sorter, tuple(map(tuple, deg_des)))
+
+
+def recording(get_table):
+    """A table(n, sorter) source that logs every request it serves."""
+    asked = []
+
+    def table(n, sorter):
+        asked.append((n, sorter))
+        return get_table(n, sorter)
+
+    return table, asked
 
 
 class TestDescentTable:
@@ -184,9 +205,7 @@ class TestCache:
 
 class TestSteingrimsson:
     def test_n5(self, get_table):
-        report = verify_steingrimsson(
-            5, tables=(get_table(5, "revstack"), get_table(5, "stack"))
-        )
+        report = verify_steingrimsson(5, table=get_table)
         assert report.ok
         by_t = {r.t: r for r in report.rows}
         assert by_t[3].stack_count == 114
@@ -196,18 +215,31 @@ class TestSteingrimsson:
         assert not by_t[4].strict
 
     def test_n7_strictness_window(self, get_table):
-        report = verify_steingrimsson(
-            7, tables=(get_table(7, "revstack"), get_table(7, "stack"))
-        )
+        report = verify_steingrimsson(7, table=get_table)
         assert report.ok
         assert [r.t for r in report.rows if r.strict] == [3, 4, 5]
 
     def test_json(self, get_table):
-        blob = verify_steingrimsson(
-            4, tables=(get_table(4, "revstack"), get_table(4, "stack"))
-        ).to_json()
+        blob = verify_steingrimsson(4, table=get_table).to_json()
         assert blob["ok"] is True
         assert len(blob["rows"]) == 4
+
+    def test_stack_count_above_revstack_fails(self, get_table):
+        # three degree-4 permutations of the stack table moved to degree 3:
+        # count(3) becomes 117 against the revstack 116
+        stack = moved_cells(get_table(5, "stack"), 4, 3, col=2, k=3)
+
+        def fake(n, sorter):
+            return stack if sorter == "stack" else get_table(n, sorter)
+
+        report = verify_steingrimsson(5, table=fake)
+        assert not report.ok
+        assert (report.rows[3].stack_count, report.rows[3].revstack_count) == (117, 116)
+
+    def test_asks_for_both_tables_of_its_size_only(self, get_table):
+        table, asked = recording(get_table)
+        verify_steingrimsson(5, table=table)
+        assert sorted(asked) == [(5, "revstack"), (5, "stack")]
 
 
 class TestTheoremSuite:
@@ -308,7 +340,24 @@ class TestClassification:
                     assert deg_revstack(w) == n - 2
 
     def test_determinism_across_jobs(self):
-        assert classify_degree_nm2(7, jobs=1) == classify_degree_nm2(7, jobs=2)
+        serial, pooled = (classify_degree_nm2(7, partial(descent_table, jobs=j)) for j in (1, 2))
+        assert serial == pooled
+
+    @pytest.mark.parametrize("src, dst, detail", [
+        (3, 4, "coverage mismatch: 1 missing, 0 extra"),
+        (4, 3, "coverage mismatch: -1 missing, 0 extra"),
+    ])
+    def test_coverage_is_read_from_the_table(self, get_table, src, dst, detail):
+        # one permutation with one descent moved between degrees n-3 and n-2
+        fake_table = moved_cells(get_table(6, "revstack"), src, dst, col=1)
+        report = classify_degree_nm2(6, table=lambda n, sorter: fake_table)
+        assert not report.ok
+        assert report.detail == detail
+
+    def test_asks_for_the_revstack_table_of_its_size_only(self, get_table):
+        table, asked = recording(get_table)
+        assert classify_degree_nm2(5, table=table).ok
+        assert asked == [(5, "revstack")]
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -320,7 +369,7 @@ class TestClassification:
 class TestZigzagFree:
     def test_zero_degree_counts_identity_only(self):
         for n in range(1, 7):
-            assert zigzag_free_table(n)[0] == (1, 1)
+            assert zigzag_free_table(n)[0] == (1, 1, 1)
 
     def test_degree_one_counts_catalan(self):
         for n in range(1, 7):
@@ -331,16 +380,17 @@ class TestZigzagFree:
             table = get_table(n, "revstack")
             rows = zigzag_free_table(n)
             for k in range(n):
-                lo, hi = rows[k]
-                assert lo <= table.count(k) <= hi
-            assert rows[n] == (math.factorial(n), math.factorial(n))
+                lo, mid, hi = rows[k]
+                assert mid == table.count(k)
+                assert lo <= mid <= hi
+            assert rows[n] == (math.factorial(n),) * 3
 
     def test_table_matches_single_counts(self):
         # oracle: count permutations with no (uninterrupted) k-zigzag by
         # searching for one, k by k
         rows = zigzag_free_table(5)
         perms = list(itertools.permutations(range(1, 6)))
-        for k, (free, free_u) in rows.items():
+        for k, (free, _, free_u) in rows.items():
             assert free == sum(find_zigzag(w, k) is None for w in perms)
             assert free_u == sum(find_uninterrupted_zigzag(w, k) is None for w in perms)
 
@@ -379,6 +429,11 @@ class TestAppendixReproduction:
         report = reproduce_appendix(enumerate_max_n=6)
         assert report.ok
         assert report.enumerated_n == (1, 2, 3, 4, 5, 6)
+
+    def test_asks_for_revstack_tables_up_to_max_n_only(self, get_table):
+        table, asked = recording(get_table)
+        assert reproduce_appendix(enumerate_max_n=4, table=table).ok
+        assert asked == [(n, "revstack") for n in range(1, 5)]
 
     def test_corrupted_coefficient_is_named(self):
         entries = [dict(e) for e in load_reference_tables()]

@@ -91,6 +91,11 @@ class TestWidthAndFormatting:
         for r in rep.roots:
             assert r.hi - r.lo <= width
 
+    @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), Fraction(-1, 3)])
+    def test_non_positive_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            real_roots(IntPoly.from_coeffs([0, 1, 4, 1]), width)
+
     def test_format_decimal(self):
         assert format_decimal(Fraction(-1)) == "-1.00000"
         assert format_decimal(Fraction(1, 3)) == "0.33333"

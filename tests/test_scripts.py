@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -25,3 +27,14 @@ def test_zigzag_free_counts_script_jobs_agree():
         for jobs in ("1", "2")
     ]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.extended
+def test_verify_all_script():
+    # the Steingrimsson comparison always runs to n = 9, whatever --max-n
+    proc = subprocess.run(
+        [sys.executable, "scripts/verify_all.py", "--max-n", "3", "--jobs", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("total: ALL VERIFIED")
