@@ -217,7 +217,7 @@ def _cmd_count(args) -> int:
             raise ValueError("count zigzag-free requires --k")
         if args.k < 0:
             raise ValueError("k must be non-negative")
-        counts = enumeration.zigzag_free_table(args.n)[min(args.k, args.n)]
+        counts = enumeration.zigzag_free_table(args.n, args.jobs)[min(args.k, args.n)]
         value = counts[2 if args.uninterrupted else 0]
     else:
         value = COUNT_MAKERS[args.what](args.n)
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="zigzag degree (zigzag-free only)")
     p.add_argument("--uninterrupted", action="store_true")
-    add_common(p)
+    add_common(p, jobs=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("appendix", help="reproduce the reference tables")

@@ -5,11 +5,15 @@ the reference coefficient/root tables.
 Every sweep of S_n goes through one engine, _sweep, which shards S_n by
 the first element of the permutation: the n shards are independent, and
 each consumer merges their exact results in shard order, so results are
-identical for any worker count.  The theorem suite is one sharded pass
-that computes T(w), S(w), the descent count and both degrees once per
-permutation, feeds them to every per-permutation check and fills both
-descent tables; each check reports the lexicographically least
-permutation it fails on.  Hard cap n <= 12.
+identical for any worker count.  Sweeps read a permutation's degree from
+the memoised byte array of S_(n-1) degrees (_degree_array), which the
+parent builds once per (n-1, sorter) and hands to every shard: one
+sorting pass and one rank lookup per permutation.  The theorem suite is
+one sharded pass that computes T(w), S(w), the descent count and both
+degrees once per permutation, feeds them to every per-permutation check
+and fills both descent tables; each check reports the lexicographically
+least permutation it fails on.  Hard cap n <= 12, the largest size
+timed (revstack, about 41 minutes on two cores).
 
 verify_steingrimsson, classify_degree_nm2 and reproduce_appendix read
 descent tables only through a table(n, sorter) callable (default
@@ -80,7 +84,40 @@ def permutations_with_first(n: int, first: int) -> Iterator[Word]:
 
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be within 1..{MAX_N} (got {n})")
+        raise ValueError(f"n must be within 1..{MAX_N}, the largest size timed (got {n})")
+
+
+def _rank(word: Word) -> int:
+    """Lexicographic rank of a permutation of 1..m within S_m: its Lehmer
+    code (the number of still unused values below each entry, counted on a
+    bitmask) read in the factorial number system."""
+    unused = (1 << (len(word) + 1)) - 2
+    rank = 0
+    base = len(word)
+    for v in word:
+        bit = 1 << v
+        rank = rank * base + (unused & (bit - 1)).bit_count()
+        unused ^= bit
+        base -= 1
+    return rank
+
+
+def _degree(w: Word, x: Word, prev: bytes) -> int:
+    """The degree of w in S_m under the sorter X, from x = X(w) and prev, the
+    sorter's _degree_array of S_(m-1).  Both operators end their output in m
+    and fix only the identity, so deg(w) is 0 when x = w and otherwise
+    1 + deg(x[:-1])."""
+    return 0 if x == w else 1 + prev[_rank(x[:-1])]
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_array(m: int, sorter: str) -> bytes:
+    """The sorter's degree of every permutation of S_m, indexed by _rank."""
+    if m <= 1:
+        return b"\x00"
+    prev = _degree_array(m - 1, sorter)
+    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
+    return bytes(_degree(w, sort(w), prev) for w in itertools.permutations(range(1, m + 1)))
 
 
 def _sweep(n: int, shard: Callable, jobs: Optional[int], *args) -> list:
@@ -102,12 +139,13 @@ def _add_counts(shards) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*shards))
 
 
-def _shard_counts(n: int, first: int, sorter: str) -> list[list[int]]:
-    """counts[deg][des] over the shard of permutations starting with first."""
-    degree = DEGREE[sorter]
+def _shard_counts(n: int, first: int, sorter: str, prev: bytes) -> list[list[int]]:
+    """counts[deg][des] over the shard of permutations starting with first;
+    prev is _degree_array(n - 1, sorter)."""
+    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
     counts = [[0] * n for _ in range(n)]
-    for word in permutations_with_first(n, first):
-        counts[degree(word)][descents(word)] += 1
+    for w in permutations_with_first(n, first):
+        counts[_degree(w, sort(w), prev)][descents(w)] += 1
     return counts
 
 
@@ -149,7 +187,7 @@ def descent_table(n: int, sorter: str = "revstack", jobs: Optional[int] = None) 
     _check_n(n)
     if sorter not in DEGREE:
         raise ValueError(f"unknown sorter {sorter!r}; expected one of {SORTERS}")
-    shards = _sweep(n, _shard_counts, jobs, sorter)
+    shards = _sweep(n, _shard_counts, jobs, sorter, _degree_array(n - 1, sorter))
     return DescentTable(n, sorter, _add_counts(shards))
 
 
@@ -291,16 +329,21 @@ def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, d
 
 
 def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    # One walk along the T-chain: not the identity before each of the first
-    # deg_t passes, the identity after them.  T fixes the identity, so with
-    # deg_t <= n-1 this also gives T^(n-1)(w) = id.
-    if deg_t > max(0, len(w) - 1):
-        return False
-    for _ in range(deg_t):
-        if is_identity(w):
+    # One walk along the T-chain and one along the S-chain: not the identity
+    # before each of the first deg passes, the identity after them.  Both
+    # operators fix the identity, so with deg <= n-1 this also gives
+    # X^(n-1)(w) = id.
+    for deg, sort in ((deg_t, revstack_sort_sim), (deg_s, stack_sort_sim)):
+        if deg > max(0, len(w) - 1):
             return False
-        w = revstack_sort_sim(w)
-    return is_identity(w)
+        x = w
+        for _ in range(deg):
+            if is_identity(x):
+                return False
+            x = sort(x)
+        if not is_identity(x):
+            return False
+    return True
 
 
 def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
@@ -390,8 +433,9 @@ _PERMUTATION_CHECKS = (
 _INJECTION_CHECK = "descent-raising injection"
 
 
-def _check_shard(n: int, first: int) -> tuple:
-    """One lexicographic pass over the shard of S_n starting with first.
+def _check_shard(n: int, first: int, prev_t: bytes, prev_s: bytes) -> tuple:
+    """One lexicographic pass over the shard of S_n starting with first;
+    prev_t and prev_s are the revstack and stack degree arrays of S_(n-1).
     Returns the first counterexample of each failing per-permutation check;
     the descent-raising injection's (h(w), w) pairs, up to the shard's
     first injection failure, whose collisions the merge looks for; both
@@ -407,8 +451,8 @@ def _check_shard(n: int, first: int) -> tuple:
         s = stack_sort_sim(w)
         t = revstack_sort_sim(w)
         des = descents(w)
-        deg_t = deg_revstack(w)
-        deg_s = deg_stack(w)
+        deg_t = _degree(w, t, prev_t)
+        deg_s = _degree(w, s, prev_s)
         for name, pred in _PERMUTATION_CHECKS:
             if name not in first_bad and not pred(w, s, t, des, deg_t, deg_s):
                 first_bad[name] = format_permutation(w)
@@ -496,7 +540,9 @@ def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
     so each check reports its least counterexample for any jobs; the
     descent tables the pass filled feed the table checks."""
     _check_n(n)
-    bads, pair_lists, revs, sts, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs))
+    bads, pair_lists, revs, sts, stack_rev_stacks = zip(*_sweep(
+        n, _check_shard, jobs, _degree_array(n - 1, "revstack"), _degree_array(n - 1, "stack")
+    ))
     first_bad: dict[str, str] = {}
     # h raises the descent count by exactly one, so images of permutations
     # with different descent counts cannot collide and one dict serves all.
@@ -718,8 +764,9 @@ def classify_degree_nm2(
                 f"class {group} polynomial {list(got.coeffs)} != expected {list(expected.coeffs)}",
             )
 
-    extra = sum(deg_revstack(w) != n - 2 for w in seen)
-    missing = sum(table(n, "revstack").deg_des[n - 2]) - (len(seen) - extra)
+    wrong_degree = sum(deg_revstack(w) != n - 2 for w in seen)
+    surplus = sum(table(n, "revstack").deg_des[n - 2]) - (len(seen) - wrong_degree)
+    missing, extra = max(surplus, 0), wrong_degree + max(-surplus, 0)
     if missing or extra:
         return ClassificationReport(
             n, False, sizes, f"coverage mismatch: {missing} missing, {extra} extra"
@@ -729,16 +776,16 @@ def classify_degree_nm2(
 
 # -- zigzag-free counting ----------------------------------------------------
 
-def _zigzag_shard(n: int, first: int) -> tuple[list[int], list[int], list[int]]:
+def _zigzag_shard(n: int, first: int, prev: bytes) -> tuple[list[int], list[int], list[int]]:
     """Histograms of maxz + 1, the revstack degree and maxu + 1 over the
     shard starting with first, asserting the bracketing
-    maxu < degree <= maxz + 1."""
+    maxu < degree <= maxz + 1; prev is the revstack degree array of S_(n-1)."""
     hz = [0] * (n + 1)
     hd = [0] * (n + 1)
     hu = [0] * (n + 1)
     for w in permutations_with_first(n, first):
         maxz, maxu = zigzag.zigzag_degrees(w)
-        degree = deg_revstack(w)
+        degree = _degree(w, revstack_sort_sim(w), prev)
         if not maxu < degree <= maxz + 1:
             raise AssertionError(f"zigzag bracketing violated at {w}")
         hz[maxz + 1] += 1
@@ -757,7 +804,7 @@ def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int
     the k = n counts (n!)."""
     if not 1 <= n <= 10:
         raise ValueError("zigzag-free counting supported for 1 <= n <= 10")
-    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs))
+    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs, _degree_array(n - 1, "revstack")))
     # No k-zigzag means maxz < k, that is maxz + 1 <= k.
     return {k: (sum(hz[:k + 1]), sum(hd[:k + 1]), sum(hu[:k + 1])) for k in range(n + 1)}
 

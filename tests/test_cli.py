@@ -110,6 +110,21 @@ class TestPolyAndCount:
             assert status == 0
             assert out.strip() == "120"
 
+    def test_zigzag_free_jobs_reach_the_sweep(self, capsys, monkeypatch):
+        from revstack import enumeration
+
+        asked = []
+        table = enumeration.zigzag_free_table
+        monkeypatch.setattr(enumeration, "zigzag_free_table",
+                            lambda n, jobs=None: asked.append(jobs) or table(n, jobs))
+        outs = {
+            jobs: run(capsys, "count", "--what", "zigzag-free", "--n", "6", "--k", "2",
+                      "--uninterrupted", "--jobs", jobs)
+            for jobs in ("1", "2")
+        }
+        assert asked == [1, 2]
+        assert outs["1"] == outs["2"] == (0, "422\n")
+
     def test_zigzag_free_negative_k(self, capsys):
         status, out = run(capsys, "count", "--what", "zigzag-free", "--n", "5", "--k", "-1")
         assert status == 2

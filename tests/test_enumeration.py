@@ -5,11 +5,16 @@ import multiprocessing
 from functools import partial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from revstack.enumeration import (
     CACHE_FORMAT_VERSION,
     DescentTable,
     _check_table_structure,
+    _degree_array,
+    _is_sound,
+    _rank,
     cached_descent_table,
     classify_degree_nm2,
     degree_nm2_classes,
@@ -22,8 +27,15 @@ from revstack.enumeration import (
     verify_theorems,
     zigzag_free_table,
 )
-from revstack import patterns, trees
-from revstack.perms import deg_revstack
+from revstack import enumeration, patterns, trees
+from revstack.perms import (
+    deg_revstack,
+    deg_stack,
+    is_identity,
+    revstack_sort_sim,
+    stack_sort,
+    stack_sort_sim,
+)
 from revstack.polynomials import (
     IntPoly,
     count_revstack_nm2,
@@ -49,6 +61,14 @@ def moved_cells(table, src, dst, col, k=1):
     deg_des[src][col] -= k
     deg_des[dst][col] += k
     return DescentTable(table.n, table.sorter, tuple(map(tuple, deg_des)))
+
+
+SORT_AND_DEGREE = {"revstack": (revstack_sort_sim, deg_revstack),
+                   "stack": (stack_sort_sim, deg_stack)}
+
+
+def permutations_of(m):
+    return st.permutations(range(1, m + 1)).map(tuple)
 
 
 def recording(get_table):
@@ -119,6 +139,12 @@ class TestDescentTable:
         for jobs in (2, 4):
             assert descent_table(6, "revstack", jobs=jobs) == serial
 
+    @pytest.mark.parametrize("sorter", enumeration.SORTERS)
+    def test_n8_agrees_across_jobs(self, sorter):
+        table = descent_table(8, sorter, jobs=1)
+        assert descent_table(8, sorter, jobs=2) == table
+        assert _is_sound(table)
+
     def test_descent_counts_vector(self, get_table):
         t = get_table(5, "revstack")
         assert t.descent_counts(2) == [1, 20, 49, 20, 1]
@@ -127,6 +153,41 @@ class TestDescentTable:
         assert get_table(8, "revstack").row(3).coeffs == (
             0, 1, 154, 2587, 9490, 9490, 2587, 154, 1
         )
+
+
+class TestDegreeArray:
+    def test_rank_enumerates_small_sizes_in_order(self):
+        for m in range(8):
+            words = itertools.permutations(range(1, m + 1))
+            assert [_rank(w) for w in words] == list(range(math.factorial(m)))
+
+    @given(st.integers(1, 12).flatmap(
+        lambda m: st.tuples(permutations_of(m), permutations_of(m))
+    ))
+    def test_rank_is_an_order_isomorphism_onto_the_factorials(self, pair):
+        # strictly increasing from S_m (m! elements) into range(m!) forces a
+        # bijection
+        u, v = pair
+        assert 0 <= _rank(u) < math.factorial(len(u))
+        assert (_rank(u) < _rank(v)) == (u < v)
+        assert (_rank(u) == _rank(v)) == (u == v)
+
+    @pytest.mark.parametrize("sorter", SORT_AND_DEGREE)
+    def test_array_is_the_iterated_degree(self, sorter):
+        _, degree = SORT_AND_DEGREE[sorter]
+        for m in range(9):
+            words = itertools.permutations(range(1, m + 1))
+            assert list(_degree_array(m, sorter)) == [degree(w) for w in words], m
+
+    @pytest.mark.parametrize("sorter", SORT_AND_DEGREE)
+    @pytest.mark.parametrize("n", [9, 10, pytest.param(11, marks=pytest.mark.extended)])
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_recursion_matches_the_iterated_degree(self, n, sorter, data):
+        w = data.draw(permutations_of(n))
+        assume(not is_identity(w))
+        sort, degree = SORT_AND_DEGREE[sorter]
+        assert 1 + _degree_array(n - 1, sorter)[_rank(sort(w)[:-1])] == degree(w)
 
 
 class TestCache:
@@ -277,6 +338,23 @@ class TestTheoremSuite:
         ]
         assert failed[0].counterexample == "2 4 3 1 5"
 
+    def test_corrupted_stack_array_fails_the_degree_walk(self, monkeypatch):
+        # raise the stack degree of 2 1 3 4 in the S_4 array: every w in S_5
+        # with S(w) = 2 1 3 4 5 is then read as needing one pass too many,
+        # and the S-chain walk must report the least of them
+        target = (2, 1, 3, 4)
+        arrays = {"revstack": _degree_array(4, "revstack"),
+                  "stack": bytearray(_degree_array(4, "stack"))}
+        arrays["stack"][_rank(target)] += 1
+        monkeypatch.setattr(enumeration, "_degree_array", lambda m, sorter: arrays[sorter])
+        least = min(w for w in itertools.permutations(range(1, 6))
+                    if stack_sort(w)[:-1] == target)
+        for jobs in (1, 2):
+            checks = {c.name: c for c in verify_theorems(5, jobs).checks}
+            walk = checks["degree bounds and iteration"]
+            assert not walk.ok
+            assert walk.counterexample == " ".join(map(str, least))
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers see the injected faults")
     def test_injected_faults_give_one_report_for_any_jobs(self, monkeypatch):
@@ -345,7 +423,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("src, dst, detail", [
         (3, 4, "coverage mismatch: 1 missing, 0 extra"),
-        (4, 3, "coverage mismatch: -1 missing, 0 extra"),
+        (4, 3, "coverage mismatch: 0 missing, 1 extra"),
     ])
     def test_coverage_is_read_from_the_table(self, get_table, src, dst, detail):
         # one permutation with one descent moved between degrees n-3 and n-2
