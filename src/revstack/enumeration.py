@@ -2,18 +2,18 @@
 the degree-(n-2) classification, zigzag-free counts, and reproduction of
 the reference coefficient/root tables.
 
-Every sweep of S_n goes through one engine, _sweep, which shards S_n by
-the first element of the permutation: the n shards are independent, and
-each consumer merges their exact results in shard order, so results are
-identical for any worker count.  Sweeps read a permutation's degree from
-the memoised byte array of S_(n-1) degrees (_degree_array), which the
-parent builds once per (n-1, sorter) and hands to every shard: one
-sorting pass and one rank lookup per permutation.  The theorem suite is
-one sharded pass that computes T(w), S(w), the descent count and both
-degrees once per permutation, feeds them to every per-permutation check
-and fills both descent tables; each check reports the lexicographically
-least permutation it fails on.  Hard cap n <= 12, the largest size
-timed (revstack, about 41 minutes on two cores).
+Every sweep of S_n goes through one engine, _sweep: n independent
+shards whose exact results each consumer merges in shard order, so
+results are identical for any worker count.  Sweeps read a permutation's
+degree from the memoised byte array of S_(n-1) degrees (_degree_array),
+handed to each worker once.  The theorem suite and the zigzag counts
+shard by first element; the theorem pass computes T(w), S(w), the
+descent count and both degrees once per permutation, feeds them to every
+per-permutation check and fills both descent tables, and each check
+reports the lexicographically least permutation it fails on.  Descent
+tables and the degree arrays shard by the position of n and make no
+sorting pass over S_n (their kernels are in split).  Hard cap n <= 12,
+the largest size timed (about a minute per sorter on two cores).
 
 verify_steingrimsson, classify_degree_nm2 and reproduce_appendix read
 descent tables only through a table(n, sorter) callable (default
@@ -66,9 +66,10 @@ from .polynomials import (
     w_revstack_nm3_from_contributions,
 )
 from .roots import check_interlacing, real_roots
+from .split import _array_shard, _interleave, _rank, _split_shard
 
 MAX_N = 12
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "PERMSORT_CACHE_DIR"
 ROOT_TOLERANCE = 1e-4
 DEGREE = {"revstack": deg_revstack, "stack": deg_stack}
@@ -87,21 +88,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be within 1..{MAX_N}, the largest size timed (got {n})")
 
 
-def _rank(word: Word) -> int:
-    """Lexicographic rank of a permutation of 1..m within S_m: its Lehmer
-    code (the number of still unused values below each entry, counted on a
-    bitmask) read in the factorial number system."""
-    unused = (1 << (len(word) + 1)) - 2
-    rank = 0
-    base = len(word)
-    for v in word:
-        bit = 1 << v
-        rank = rank * base + (unused & (bit - 1)).bit_count()
-        unused ^= bit
-        base -= 1
-    return rank
-
-
 def _degree(w: Word, x: Word, prev: bytes) -> int:
     """The degree of w in S_m under the sorter X, from x = X(w) and prev, the
     sorter's _degree_array of S_(m-1).  Both operators end their output in m
@@ -110,43 +96,62 @@ def _degree(w: Word, x: Word, prev: bytes) -> int:
     return 0 if x == w else 1 + prev[_rank(x[:-1])]
 
 
-@functools.lru_cache(maxsize=None)
-def _degree_array(m: int, sorter: str) -> bytes:
-    """The sorter's degree of every permutation of S_m, indexed by _rank."""
-    if m <= 1:
-        return b"\x00"
-    prev = _degree_array(m - 1, sorter)
-    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
-    return bytes(_degree(w, sort(w), prev) for w in itertools.permutations(range(1, m + 1)))
+_ARRAYS: tuple[bytes, ...] = ()  # the degree arrays a pool worker was handed
 
 
-def _sweep(n: int, shard: Callable, jobs: Optional[int], *args) -> list:
-    """shard(n, first, *args) for each first element 1..n, in shard order.
-    jobs > 1 (None: one per CPU) runs the shards in a process pool; the
-    results do not depend on jobs because callers merge them by index."""
+def _install(arrays: tuple[bytes, ...]) -> None:
+    global _ARRAYS
+    _ARRAYS = arrays
+
+
+def _run(shard: Callable, n: int, i: int, args: tuple):
+    return shard(n, i, *_ARRAYS, *args)
+
+
+def _sweep(n: int, shard: Callable, jobs: Optional[int], arrays: tuple[bytes, ...], *args,
+           pool_from: int = 5) -> list:
+    """shard(n, i, *arrays, *args) for each shard i = 1..n, in shard order.
+    jobs > 1 (None: one per CPU) runs the shards in a process pool when
+    n >= pool_from; a pool costs about 20 ms to start.  Each worker gets
+    the degree arrays once, through the pool initializer, under any start
+    method; callers merge the results by index, so jobs never changes
+    them."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, n))
-    if jobs == 1 or n <= 4:
-        return [shard(n, first, *args) for first in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(shard, n, first, *args) for first in range(1, n + 1)]
+    if jobs == 1 or n < pool_from:
+        return [shard(n, i, *arrays, *args) for i in range(1, n + 1)]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
+                             initargs=(arrays,)) as pool:
+        futures = [pool.submit(_run, shard, n, i, args) for i in range(1, n + 1)]
         return [f.result() for f in futures]
+
+
+_DEGREE_ARRAYS: dict[tuple[int, str], bytes] = {}
+
+
+def _degree_array(m: int, sorter: str, jobs: Optional[int] = 1) -> bytes:
+    """The sorter's degree of every permutation of S_m, indexed by _rank and
+    memoised.  One _array_shard per position k of m, swept over jobs
+    workers, merged in rank order: after a prefix of k entries without m
+    come m - 1 - k runs of (m - 1 - k)! permutations with m further right,
+    then one with m at position k, so the merge interleaves one k at a
+    time, from k = m - 2 down to 0."""
+    if m <= 1:
+        return b"\x00"
+    if (m, sorter) not in _DEGREE_ARRAYS:
+        prev = _degree_array(m - 1, sorter, jobs)
+        classes = _sweep(m, _array_shard, jobs, (prev,), sorter, pool_from=9)
+        array = classes.pop()
+        for k in range(m - 2, -1, -1):
+            array = _interleave(array, classes.pop(), math.factorial(m - 1 - k), m - 1 - k)
+        _DEGREE_ARRAYS[m, sorter] = array
+    return _DEGREE_ARRAYS[m, sorter]
 
 
 def _add_counts(shards) -> tuple[tuple[int, ...], ...]:
     """Componentwise sum of per-shard count matrices."""
     return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*shards))
-
-
-def _shard_counts(n: int, first: int, sorter: str, prev: bytes) -> list[list[int]]:
-    """counts[deg][des] over the shard of permutations starting with first;
-    prev is _degree_array(n - 1, sorter)."""
-    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
-    counts = [[0] * n for _ in range(n)]
-    for w in permutations_with_first(n, first):
-        counts[_degree(w, sort(w), prev)][descents(w)] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -187,8 +192,17 @@ def descent_table(n: int, sorter: str = "revstack", jobs: Optional[int] = None) 
     _check_n(n)
     if sorter not in DEGREE:
         raise ValueError(f"unknown sorter {sorter!r}; expected one of {SORTERS}")
-    shards = _sweep(n, _shard_counts, jobs, sorter, _degree_array(n - 1, sorter))
-    return DescentTable(n, sorter, _add_counts(shards))
+    return DescentTable(n, sorter, _table_counts(n, sorter, jobs))
+
+
+def _table_counts(n: int, sorter: str, jobs: Optional[int]) -> tuple[tuple[int, ...], ...]:
+    """The deg_des counts of S_n: one _split_shard per position of n, fed
+    the counts of S_(n-1)."""
+    if n == 1:
+        return ((1,),)
+    smaller = _table_counts(n - 1, sorter, jobs)
+    prev = _degree_array(n - 1, sorter, jobs)
+    return _add_counts(_sweep(n, _split_shard, jobs, (prev,), sorter, smaller, pool_from=9))
 
 
 # -- result cache ----------------------------------------------------------
@@ -243,9 +257,21 @@ def _is_sound(table: DescentTable) -> bool:
     )
 
 
+def _digest(deg_des) -> str:
+    """SHA-256 of the table cells as JSON.  The built-in _sha256 module is
+    preferred: hashlib loads OpenSSL, 3.6 MB of resident memory, for one
+    digest of a few hundred bytes."""
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(json.dumps([list(row) for row in deg_des]).encode()).hexdigest()
+
+
 def _load_cached(path: Path, n: int, sorter: str) -> Optional[DescentTable]:
     """The table cached at path, or None when the entry is missing, has
-    another format version or key, is corrupt, or fails _is_sound."""
+    another format version or key, is corrupt, does not match its SHA-256
+    digest, or fails _is_sound."""
     try:
         blob = json.loads(path.read_text())
         if (
@@ -253,6 +279,7 @@ def _load_cached(path: Path, n: int, sorter: str) -> Optional[DescentTable]:
             or blob.get("format_version") != CACHE_FORMAT_VERSION
             or blob["n"] != n
             or blob["sorter"] != sorter
+            or blob["sha256"] != _digest(blob["deg_des"])
         ):
             return None
         table = DescentTable(n, sorter, tuple(tuple(row) for row in blob["deg_des"]))
@@ -268,8 +295,10 @@ def cached_descent_table(
     cache_dir: Optional[str | Path] = None,
 ) -> DescentTable:
     """descent_table with an advisory JSON cache keyed by (n, sorter).
-    Entries embed a format version and are checked on load; mismatching,
-    corrupt or unsound entries are recomputed and rewritten.  Writes go
+    Entries embed a format version and a SHA-256 of the cells and are
+    checked on load; mismatching, corrupt or unsound entries are recomputed
+    and rewritten.  The digest catches accidental corruption only: whoever
+    edits an entry can rewrite its digest too.  Writes go
     through a temporary file and os.replace, so a reader never sees a
     partly written entry.  A cache directory that cannot be created or
     written leaves the computed table unsaved."""
@@ -284,6 +313,7 @@ def cached_descent_table(
         "n": n,
         "sorter": sorter,
         "deg_des": [list(r) for r in table.deg_des],
+        "sha256": _digest(table.deg_des),
     }
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     with contextlib.suppress(OSError):
@@ -540,9 +570,8 @@ def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
     so each check reports its least counterexample for any jobs; the
     descent tables the pass filled feed the table checks."""
     _check_n(n)
-    bads, pair_lists, revs, sts, stack_rev_stacks = zip(*_sweep(
-        n, _check_shard, jobs, _degree_array(n - 1, "revstack"), _degree_array(n - 1, "stack")
-    ))
+    arrays = (_degree_array(n - 1, "revstack", jobs), _degree_array(n - 1, "stack", jobs))
+    bads, pair_lists, revs, sts, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays))
     first_bad: dict[str, str] = {}
     # h raises the descent count by exactly one, so images of permutations
     # with different descent counts cannot collide and one dict serves all.
@@ -804,7 +833,8 @@ def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int
     the k = n counts (n!)."""
     if not 1 <= n <= 10:
         raise ValueError("zigzag-free counting supported for 1 <= n <= 10")
-    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs, _degree_array(n - 1, "revstack")))
+    prev = _degree_array(n - 1, "revstack", jobs)
+    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs, (prev,)))
     # No k-zigzag means maxz < k, that is maxz + 1 <= k.
     return {k: (sum(hz[:k + 1]), sum(hd[:k + 1]), sum(hu[:k + 1])) for k in range(n + 1)}
 

@@ -2,7 +2,12 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,11 +15,13 @@ from hypothesis import strategies as st
 
 from revstack.enumeration import (
     CACHE_FORMAT_VERSION,
+    SORTERS,
     DescentTable,
     _check_table_structure,
+    _degree,
     _degree_array,
+    _digest,
     _is_sound,
-    _rank,
     cached_descent_table,
     classify_degree_nm2,
     degree_nm2_classes,
@@ -31,6 +38,7 @@ from revstack import enumeration, patterns, trees
 from revstack.perms import (
     deg_revstack,
     deg_stack,
+    descents,
     is_identity,
     revstack_sort_sim,
     stack_sort,
@@ -42,6 +50,7 @@ from revstack.polynomials import (
     count_revstack_nm3,
     eulerian_poly,
 )
+from revstack.split import _array_shard, _offsets, _rank, _split_shard
 from revstack.zigzag import find_uninterrupted_zigzag, find_zigzag
 
 
@@ -69,6 +78,29 @@ SORT_AND_DEGREE = {"revstack": (revstack_sort_sim, deg_revstack),
 
 def permutations_of(m):
     return st.permutations(range(1, m + 1)).map(tuple)
+
+
+def standardised(word):
+    """The pattern of word: each value replaced by its rank, 1..len(word)."""
+    order = sorted(word)
+    return tuple(order.index(v) + 1 for v in word)
+
+
+def oracle_counts(n, sorter):
+    """deg_des of S_n by one sorting pass and one array lookup per
+    permutation, the sweep the split kernel replaced."""
+    sort, _ = SORT_AND_DEGREE[sorter]
+    prev = _degree_array(n - 1, sorter)
+    counts = [[0] * n for _ in range(n)]
+    for w in itertools.permutations(range(1, n + 1)):
+        counts[_degree(w, sort(w), prev)][descents(w)] += 1
+    return tuple(map(tuple, counts))
+
+
+def signed(blob):
+    """A cache entry whose digest matches its (possibly edited) cells, so
+    that only the soundness check can reject it."""
+    return {**blob, "sha256": _digest(blob["deg_des"])}
 
 
 def recording(get_table):
@@ -155,6 +187,83 @@ class TestDescentTable:
         )
 
 
+class TestSplitKernel:
+    @pytest.mark.parametrize("sorter", SORTERS)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_the_per_permutation_oracle(self, sorter, jobs):
+        for n in range(1, 9):
+            assert descent_table(n, sorter, jobs).deg_des == oracle_counts(n, sorter), n
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("sorter", SORTERS)
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_matches_the_oracle_at_n9_n10(self, n, sorter):
+        oracle = oracle_counts(n, sorter)
+        for jobs in (1, 2):
+            assert descent_table(n, sorter, jobs).deg_des == oracle
+
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_pools_agree_with_serial(self, sorter):
+        # 9 is the smallest size whose array and table sweeps use a pool
+        enumeration._DEGREE_ARRAYS.clear()
+        pooled = _degree_array(9, sorter, jobs=2), descent_table(9, sorter, jobs=2)
+        enumeration._DEGREE_ARRAYS.clear()
+        assert (_degree_array(9, sorter), descent_table(9, sorter, jobs=1)) == pooled
+        assert _is_sound(pooled[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(permutations_of), st.sampled_from(SORTERS))
+    def test_rank_splits_into_head_offset_and_tail_rank(self, w, sorter):
+        # rank(X(w)[:-1]) = off + rank(std X(tail)), where off adds to the
+        # head's own weighed Lehmer code, for each tail value u, the weight
+        # of the head positions above u
+        sort, _ = SORT_AND_DEGREE[sorter]
+        n = len(w)
+        left, right = w[:w.index(n)], w[w.index(n) + 1:]
+        head, tail = (right, left) if sorter == "revstack" else (left, right)
+        weights = [math.factorial(n - 2 - i) for i in range(len(head))]
+        base, above = _offsets(sort(standardised(head)), weights)
+        off = base + sum(above[sum(h < u for h in head)] for u in tail)
+        assert _rank(sort(w)[:-1]) == off + _rank(sort(standardised(tail)))
+
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_end_shards_are_the_smaller_table_moved(self, sorter):
+        # the shard n R (i = 1) and the shard L n (i = n) against the
+        # iterated degree of each of their permutations
+        _, degree = SORT_AND_DEGREE[sorter]
+        for n in range(2, 9):
+            smaller = descent_table(n - 1, sorter).deg_des
+            prev = _degree_array(n - 1, sorter)
+            rest = list(itertools.permutations(range(1, n)))
+            for i, words in ((1, [(n, *u) for u in rest]), (n, [(*u, n) for u in rest])):
+                expected = [[0] * n for _ in range(n)]
+                for w in words:
+                    expected[degree(w)][descents(w)] += 1
+                assert _split_shard(n, i, prev, sorter, smaller) == expected, (n, i)
+
+    def test_tables_do_not_depend_on_the_start_method(self):
+        # spawned workers share no memory with the parent: the degree
+        # arrays reach them only through the pool initializer
+        code = textwrap.dedent("""
+            import multiprocessing
+            from revstack import enumeration
+            if __name__ == "__main__":
+                multiprocessing.set_start_method("spawn")
+                for sorter in enumeration.SORTERS:
+                    pooled = (enumeration._degree_array(9, sorter, jobs=2),
+                              enumeration.descent_table(9, sorter, jobs=2))
+                    enumeration._DEGREE_ARRAYS.clear()
+                    print(pooled == (enumeration._degree_array(9, sorter),
+                                     enumeration.descent_table(9, sorter, jobs=1)))
+        """)
+        src = Path(enumeration.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
+
+
 class TestDegreeArray:
     def test_rank_enumerates_small_sizes_in_order(self):
         for m in range(8):
@@ -171,6 +280,16 @@ class TestDegreeArray:
         assert 0 <= _rank(u) < math.factorial(len(u))
         assert (_rank(u) < _rank(v)) == (u < v)
         assert (_rank(u) == _rank(v)) == (u == v)
+
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_array_shards_hold_each_position_of_m_in_rank_order(self, sorter):
+        _, degree = SORT_AND_DEGREE[sorter]
+        for m in range(2, 8):
+            prev = _degree_array(m - 1, sorter)
+            words = list(itertools.permutations(range(1, m + 1)))
+            for k in range(m):
+                expected = bytes(degree(w) for w in words if w[k] == m)
+                assert _array_shard(m, k + 1, prev, sorter) == expected, (m, k)
 
     @pytest.mark.parametrize("sorter", SORT_AND_DEGREE)
     def test_array_is_the_iterated_degree(self, sorter):
@@ -234,8 +353,8 @@ class TestCache:
     ])
     def test_unsound_entry_recomputed(self, tmp_path, deg_des):
         path = tmp_path / "table-revstack-3.json"
-        path.write_text(json.dumps({"format_version": CACHE_FORMAT_VERSION, "n": 3,
-                                    "sorter": "revstack", "deg_des": deg_des}))
+        path.write_text(json.dumps(signed({"format_version": CACHE_FORMAT_VERSION, "n": 3,
+                                           "sorter": "revstack", "deg_des": deg_des})))
         table = cached_descent_table(3, "revstack", cache_dir=tmp_path)
         assert table == descent_table(3)
         assert all(type(c) is int for row in table.deg_des for c in row)
@@ -255,8 +374,22 @@ class TestCache:
         blob = json.loads(path.read_text())
         blob["deg_des"][src][col] -= 1
         blob["deg_des"][dst][col] += 1
-        path.write_text(json.dumps(blob))
+        path.write_text(json.dumps(signed(blob)))
         assert cached_descent_table(n, sorter, cache_dir=tmp_path) == descent_table(n, sorter)
+
+    def test_digest_mismatch_recomputed(self, tmp_path):
+        # a stack cell moved between the unpinned degree rows 2 and 3 keeps
+        # the table sound; only the digest sees the change
+        table = cached_descent_table(6, "stack", cache_dir=tmp_path)
+        path = tmp_path / "table-stack-6.json"
+        blob = json.loads(path.read_text())
+        assert blob["sha256"] == _digest(table.deg_des)
+        blob["deg_des"][2][2] -= 1
+        blob["deg_des"][3][2] += 1
+        path.write_text(json.dumps(blob))
+        assert _is_sound(moved_cells(table, 2, 3, 2))
+        assert cached_descent_table(6, "stack", cache_dir=tmp_path) == table
+        assert json.loads(path.read_text())["deg_des"] == [list(r) for r in table.deg_des]
 
     def test_env_var_resolution(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMSORT_CACHE_DIR", str(tmp_path / "envcache"))
@@ -346,7 +479,7 @@ class TestTheoremSuite:
         arrays = {"revstack": _degree_array(4, "revstack"),
                   "stack": bytearray(_degree_array(4, "stack"))}
         arrays["stack"][_rank(target)] += 1
-        monkeypatch.setattr(enumeration, "_degree_array", lambda m, sorter: arrays[sorter])
+        monkeypatch.setattr(enumeration, "_degree_array", lambda m, sorter, jobs=1: arrays[sorter])
         least = min(w for w in itertools.permutations(range(1, 6))
                     if stack_sort(w)[:-1] == target)
         for jobs in (1, 2):
