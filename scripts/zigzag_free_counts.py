@@ -7,10 +7,11 @@ uninterrupted k-zigzag.  These bracket the k-pass-sortable counts, which
 are printed alongside.  All three columns come from one sweep of S_n per
 n.  No closed form is asserted; the sequences are produced for study.
 
-Runtime grows steeply.  On a shared 2-core host with Python 3.11,
---max-n 8 took 4.5 s with --jobs 1 and 3.2 s with --jobs 2, and
---max-n 9 took 69 s and 50 s.  n = 10 was not timed; by extrapolation it
-takes tens of minutes on one core.
+Runtime grows about tenfold per n.  On a shared 2-core host with Python
+3.11, --max-n 8 took 1.1 s with --jobs 1 and 1.2 s with --jobs 2,
+--max-n 9 took 11 s and 6.8 s, and --max-n 10 took 67 s with --jobs 2
+(170 s in one run while the host was busier).  zigzag_free_table stops at
+n = 10.
 """
 import argparse
 import sys

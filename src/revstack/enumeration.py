@@ -114,8 +114,9 @@ def _sweep(n: int, shard: Callable, jobs: Optional[int], arrays: tuple[bytes, ..
     jobs > 1 (None: one per CPU) runs the shards in a process pool when
     n >= pool_from; a pool costs about 20 ms to start.  Each worker gets
     the degree arrays once, through the pool initializer, under any start
-    method; callers merge the results by index, so jobs never changes
-    them."""
+    method.  The pool starts the shards from i = n down, so the heavy
+    array shards next to the end go first; callers merge the results by
+    index, so neither jobs nor that order changes them."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, n))
@@ -123,8 +124,8 @@ def _sweep(n: int, shard: Callable, jobs: Optional[int], arrays: tuple[bytes, ..
         return [shard(n, i, *arrays, *args) for i in range(1, n + 1)]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
                              initargs=(arrays,)) as pool:
-        futures = [pool.submit(_run, shard, n, i, args) for i in range(1, n + 1)]
-        return [f.result() for f in futures]
+        futures = {i: pool.submit(_run, shard, n, i, args) for i in range(n, 0, -1)}
+        return [futures[i].result() for i in range(1, n + 1)]
 
 
 _DEGREE_ARRAYS: dict[tuple[int, str], bytes] = {}

@@ -16,7 +16,9 @@ single-digit patterns.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -108,13 +110,6 @@ STACK_S2_CLASSICAL = parse_pattern("2341")
 STACK_S2_BARRED = parse_pattern("35!241")
 
 
-def _rank_consistent(pattern: Sequence[int], values: Sequence[int]) -> bool:
-    k = len(values) - 1
-    return all(
-        (pattern[i] < pattern[k]) == (values[i] < values[k]) for i in range(k)
-    )
-
-
 def contains_classical(word: Sequence[int], pattern: PatternSpec) -> Optional[Occurrence]:
     """First (lexicographically least positions) occurrence of a classical pattern.
 
@@ -126,11 +121,26 @@ def contains_classical(word: Sequence[int], pattern: PatternSpec) -> Optional[Oc
     return next(_occurrences(tuple(word), pattern.letters), None)
 
 
+@functools.lru_cache(maxsize=None)
+def _neighbours(pat: Word) -> tuple[tuple[int, int], ...]:
+    """For each depth d, the indices in pat[:d] of the nearest smaller and
+    the nearest larger letter than pat[d] by value, -1 where there is none."""
+    out = []
+    for d, v in enumerate(pat):
+        below = [j for j in range(d) if pat[j] < v]
+        above = [j for j in range(d) if pat[j] > v]
+        out.append((max(below, key=pat.__getitem__, default=-1),
+                    min(above, key=pat.__getitem__, default=-1)))
+    return tuple(out)
+
+
 def _occurrences(word: Word, pat: Word) -> Iterator[Occurrence]:
     """Every occurrence of a classical pattern, positions in lexicographic
-    order, by backtracking that prunes each prefix not order-isomorphic to
-    the pattern's prefix."""
+    order, by backtracking.  A prefix order-isomorphic to pat[:d] extends
+    by exactly the letters strictly between its letters at the indices of
+    pat[d]'s nearest smaller and nearest larger letters (_neighbours)."""
     m, n = len(pat), len(word)
+    bounds = _neighbours(pat)
     chosen: list[int] = []
 
     def extend(start: int) -> Iterator[Occurrence]:
@@ -138,11 +148,14 @@ def _occurrences(word: Word, pat: Word) -> Iterator[Occurrence]:
         if depth == m:
             yield Occurrence(tuple(i + 1 for i in chosen), tuple(word[i] for i in chosen))
             return
+        below, above = bounds[depth]
+        lo = word[chosen[below]] if below >= 0 else -math.inf
+        hi = word[chosen[above]] if above >= 0 else math.inf
         for i in range(start, n - (m - depth) + 1):
-            chosen.append(i)
-            if _rank_consistent(pat, [word[j] for j in chosen]):
+            if lo < word[i] < hi:
+                chosen.append(i)
                 yield from extend(i + 1)
-            chosen.pop()
+                chosen.pop()
 
     return extend(0)
 

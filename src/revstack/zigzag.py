@@ -13,10 +13,21 @@ counterexamples to the sorting bound starting at n = 7 (3615724 has a
 (7,4,3,2,1) zigzag with nothing above 7, yet three passes sort it; the
 value 6 between the even entries 3 and 1 is what actually disturbs the
 stack).  With the pair-wise threshold the bound "an uninterrupted k-zigzag
-forbids sorting in k passes" holds exhaustively for all n <= 8.
+forbids sorting in k passes" holds exhaustively for all n <= 10.
 
-Searches enumerate decreasing value subsets in descending lexicographic
-order, so the first hit is the lexicographically largest witness.
+Window lemma.  Let window(v) be the open position interval between the
+nearest values greater than v on either side.  A zigzag is uninterrupted
+iff every entry of each parity class lies in the window of the previous
+entry of its class.  Sketch: if b < a lies in window(a), then a on one
+side of b and the bound of window(a) on the other are greater than b, so
+window(b) is inside window(a).  By induction the entries of a class from
+cls[i] on all lie in window(cls[i]), which holds no value above cls[i],
+so nothing interrupts them; conversely a value above cls[i] between cls[i]
+and cls[i + 1] interrupts that pair.  zigzag_degrees runs a DP on it.
+
+The witness searches enumerate decreasing value subsets in descending
+lexicographic order, so the first hit is the lexicographically largest
+witness.
 """
 from __future__ import annotations
 
@@ -152,16 +163,63 @@ def max_zigzag_degree(word: Sequence[int]) -> int:
     return best
 
 
+def _windows(w: Word) -> tuple[list[int], list[int]]:
+    """For each position p, the positions of the nearest values greater than
+    w[p] on the left (-1 if none) and on the right (len(w) if none), by
+    two monotone-stack passes; window(w[p]) is the open interval between."""
+    n = len(w)
+    left, right = [-1] * n, [n] * n
+    stack: list[int] = []
+    for p in range(n):
+        while stack and w[stack[-1]] < w[p]:
+            right[stack.pop()] = p
+        left[p] = stack[-1] if stack else -1
+        stack.append(p)
+    return left, right
+
+
 def zigzag_degrees(word: Sequence[int]) -> tuple[int, int]:
     """(max zigzag degree, max uninterrupted zigzag degree).
 
     Dropping the final entry of an (uninterrupted) zigzag leaves an
     (uninterrupted) zigzag, so both families are downward closed and the
     two maxima capture every k at once.
+
+    The uninterrupted maximum is a DP over the window lemma.  picks(a, b)
+    is the largest number of entries that can follow the entry at position
+    a, the next one smaller than w[a] and in the window of the entry at
+    position b, the last entry on the side it goes to.  A window never
+    crosses a larger value, so once each side holds an entry the pivot
+    plays no further part and picks is shared by all pivots.  Taking the
+    largest legal value is not optimal here, since it can shrink the
+    window the next pick on that side must lie in.
     """
     w = tuple(word)
+    n = len(w)
     maxz = max_zigzag_degree(w)
-    for k in range(maxz, -1, -1):
-        if _scan(w, k, uninterrupted_only=True) is not None:
-            return maxz, k
-    return maxz, -1
+    left, right = _windows(w)
+    memo = [-1] * (n * n)
+
+    def picks(a: int, b: int) -> int:
+        r = memo[a * n + b]
+        if r < 0:
+            va = w[a]
+            r = 0
+            for c in range(left[b] + 1, right[b]):
+                if w[c] < va:
+                    r = max(r, 1 + picks(c, a))
+            memo[a * n + b] = r
+        return r
+
+    best = 0  # entries after the pivot z0: z1 right of it, then z2 left
+    for p0, z0 in enumerate(w):
+        for p1 in range(p0 + 1, n):
+            z1 = w[p1]
+            if z1 < z0:
+                best = max(best, 1)
+                for p2 in range(p0):
+                    if w[p2] < z1:
+                        best = max(best, 2 + picks(p2, p1))
+                if best > maxz:  # maxu <= maxz: nothing can beat it
+                    return maxz, maxz
+    return maxz, best - 1

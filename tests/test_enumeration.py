@@ -608,6 +608,23 @@ class TestZigzagFree:
     def test_determinism_across_jobs(self):
         assert zigzag_free_table(7, jobs=1) == zigzag_free_table(7, jobs=2)
 
+    @pytest.mark.extended
+    def test_bracketing_on_all_of_s9(self):
+        # the sweep asserts maxu < degree <= maxz + 1 on every permutation
+        # of S_9; the middle column is the k-pass-sortable count
+        assert zigzag_free_table(9, 2) == {
+            0: (1, 1, 1),
+            1: (4862, 4862, 4862),
+            2: (41586, 49335, 58728),
+            3: (148528, 165371, 194152),
+            4: (255684, 267054, 303128),
+            5: (329832, 332916, 350544),
+            6: (356112, 356472, 361504),
+            7: (362304, 362304, 362816),
+            8: (362880, 362880, 362880),
+            9: (362880, 362880, 362880),
+        }
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             zigzag_free_table(11)

@@ -8,6 +8,7 @@ from revstack.patterns import contains_classical, parse_pattern
 from revstack.perms import deg_revstack, is_identity
 from revstack.zigzag import (
     Zigzag,
+    _interrupted,
     find_uninterrupted_zigzag,
     find_zigzag,
     is_interrupted,
@@ -21,9 +22,55 @@ def all_perms(n):
     return itertools.permutations(range(1, n + 1))
 
 
-def perms(max_n=8):
-    return st.integers(1, max_n).flatmap(
+def perms(max_n=8, min_n=1):
+    return st.integers(min_n, max_n).flatmap(
         lambda n: st.permutations(range(1, n + 1)).map(tuple)
+    )
+
+
+def all_zigzags(w):
+    """Every zigzag of the permutation w: each pivot extended by smaller
+    values, odd-indexed entries right of it and even-indexed ones left."""
+    pos = {v: i for i, v in enumerate(w)}
+
+    def extend(z):
+        right = len(z) % 2 == 1
+        for v in range(z[-1] - 1, 0, -1):
+            if (pos[v] > pos[z[0]]) == right:
+                yield z + (v,)
+                yield from extend(z + (v,))
+
+    for v in w:
+        yield from extend((v,))
+
+
+def window(w, v):
+    """Positions (0-based) of the nearest values above v on either side of
+    it, -1 and len(w) where there is none."""
+    p = w.index(v)
+    lo = max((q for q in range(p) if w[q] > v), default=-1)
+    hi = min((q for q in range(p + 1, len(w)) if w[q] > v), default=len(w))
+    return lo, hi
+
+
+def window_condition(w, z):
+    """Every entry of each parity class lies in the window of the previous
+    entry of its class."""
+    for cls in (z[1::2], z[2::2]):
+        for a, b in zip(cls, cls[1:]):
+            lo, hi = window(w, a)
+            if not lo < w.index(b) < hi:
+                return False
+    return True
+
+
+def uninterrupted_degree_matches_scan(w):
+    """zigzag_degrees' uninterrupted maximum u is the one the subset scan
+    finds: a u-zigzag and no (u + 1)-zigzag, which settles every larger k
+    because the family is downward closed."""
+    _, u = zigzag_degrees(w)
+    return (u < 0 or find_uninterrupted_zigzag(w, u) is not None) and (
+        find_uninterrupted_zigzag(w, u + 1) is None
     )
 
 
@@ -119,6 +166,25 @@ class TestGroundings:
                         assert not z.interrupted
 
 
+class TestWindowLemma:
+    def test_window_condition_is_uninterruption(self):
+        for n in range(1, 8):
+            for w in all_perms(n):
+                for z in all_zigzags(w):
+                    assert window_condition(w, z) == (not _interrupted(w, z)), (w, z)
+
+    def test_zigzag_enumeration_is_complete(self):
+        for n in range(1, 6):
+            for w in all_perms(n):
+                expected = [
+                    z
+                    for m in range(2, n + 1)
+                    for z in itertools.combinations(sorted(w, reverse=True), m)
+                    if is_zigzag(w, z)
+                ]
+                assert sorted(all_zigzags(w)) == sorted(expected)
+
+
 class TestFastDegrees:
     def test_agree_with_subset_scan(self):
         for n in range(1, 8):
@@ -134,6 +200,15 @@ class TestFastDegrees:
                 assert maxz == brute_z
                 assert maxu == brute_u
                 assert max_zigzag_degree(w) == brute_z
+
+    def test_uninterrupted_agrees_with_scan_n8(self):
+        for w in all_perms(8):
+            assert uninterrupted_degree_matches_scan(w), w
+
+    @given(perms(max_n=12, min_n=9))
+    @settings(deadline=None)
+    def test_uninterrupted_agrees_with_scan_large(self, w):
+        assert uninterrupted_degree_matches_scan(w)
 
     @given(perms(max_n=7))
     @settings(deadline=None)
