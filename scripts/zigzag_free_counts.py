@@ -7,11 +7,10 @@ uninterrupted k-zigzag.  These bracket the k-pass-sortable counts, which
 are printed alongside.  All three columns come from one sweep of S_n per
 n.  No closed form is asserted; the sequences are produced for study.
 
-Runtime grows about tenfold per n.  On a shared 2-core host with Python
-3.11, --max-n 8 took 1.1 s with --jobs 1 and 1.2 s with --jobs 2,
---max-n 9 took 11 s and 6.8 s, and --max-n 10 took 67 s with --jobs 2
-(170 s in one run while the host was busier).  zigzag_free_table stops at
-n = 10.
+Runtime grows about tenfold per n.  On a shared, busy 2-core host with
+Python 3.11, --max-n 8 took 1.6 s with --jobs 1 and 0.8 s with --jobs 2,
+--max-n 9 took 12.5-15.1 s and 7.1 s, and --max-n 10 took 90 s with
+--jobs 2.  zigzag_free_table stops at n = 10.
 """
 import argparse
 import sys

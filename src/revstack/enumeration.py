@@ -469,14 +469,11 @@ def _check_shard(n: int, first: int, prev_t: bytes, prev_s: bytes) -> tuple:
     prev_t and prev_s are the revstack and stack degree arrays of S_(n-1).
     Returns the first counterexample of each failing per-permutation check;
     the descent-raising injection's (h(w), w) pairs, up to the shard's
-    first injection failure, whose collisions the merge looks for; both
-    descent tables; and the descents of the permutations that
-    stack/reverse/stack sorts.  A check that fails is skipped for the rest
-    of the shard."""
+    first injection failure, whose collisions the merge looks for; and the
+    descents of the permutations that stack/reverse/stack sorts.  A check
+    that fails is skipped for the rest of the shard."""
     first_bad: dict[str, str] = {}
     pairs: list[tuple[Word, Word]] = []
-    rev = [[0] * n for _ in range(n)]
-    st = [[0] * n for _ in range(n)]
     stack_rev_stack = [0] * n
     for w in permutations_with_first(n, first):
         s = stack_sort_sim(w)
@@ -493,11 +490,9 @@ def _check_shard(n: int, first: int, prev_t: bytes, prev_s: bytes) -> tuple:
                 first_bad[_INJECTION_CHECK] = format_permutation(w)
             else:
                 pairs.append((h, w))
-        rev[deg_t][des] += 1
-        st[deg_s][des] += 1
         if is_identity(stack_sort_sim(reverse(s))):
             stack_rev_stack[des] += 1
-    return first_bad, pairs, rev, st, stack_rev_stack
+    return first_bad, pairs, stack_rev_stack
 
 
 def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[CheckResult]:
@@ -568,11 +563,11 @@ def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[Che
 def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
     """Run every exhaustive property check at size n in one pass over S_n,
     sharded over jobs workers (_check_shard).  The shards merge in order,
-    so each check reports its least counterexample for any jobs; the
-    descent tables the pass filled feed the table checks."""
+    so each check reports its least counterexample for any jobs.  The
+    table checks read descent_table, the tables users see."""
     _check_n(n)
     arrays = (_degree_array(n - 1, "revstack", jobs), _degree_array(n - 1, "stack", jobs))
-    bads, pair_lists, revs, sts, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays))
+    bads, pair_lists, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays))
     first_bad: dict[str, str] = {}
     # h raises the descent count by exactly one, so images of permutations
     # with different descent counts cannot collide and one dict serves all.
@@ -588,8 +583,7 @@ def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
             first_bad.setdefault(name, counterexample)
     names = [name for name, _ in _PERMUTATION_CHECKS] + [_INJECTION_CHECK]
     checks = [CheckResult(name, name not in first_bad, first_bad.get(name, "")) for name in names]
-    rev = DescentTable(n, "revstack", _add_counts(revs))
-    st = DescentTable(n, "stack", _add_counts(sts))
+    rev, st = descent_table(n, "revstack", jobs), descent_table(n, "stack", jobs)
     # The descent statistic agrees on the sets sorted by two straight
     # stack passes and by stack/reverse/stack.
     two_stack = st.descent_counts(min(2, n - 1))

@@ -23,17 +23,16 @@ side of b and the bound of window(a) on the other are greater than b, so
 window(b) is inside window(a).  By induction the entries of a class from
 cls[i] on all lie in window(cls[i]), which holds no value above cls[i],
 so nothing interrupts them; conversely a value above cls[i] between cls[i]
-and cls[i + 1] interrupts that pair.  zigzag_degrees runs a DP on it.
+and cls[i + 1] interrupts that pair.  _window_dp runs a DP on it.
 
-The witness searches enumerate decreasing value subsets in descending
-lexicographic order, so the first hit is the lexicographically largest
-witness.
+Plain zigzags come from a greedy chain per pivot (_chain), uninterrupted
+ones from the window DP.  Each finder builds the lexicographically largest
+k-zigzag, taking every entry as the largest value that still completes one.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .perms import Word
 
@@ -89,78 +88,50 @@ def is_interrupted(word: Sequence[int], zigzag: Zigzag | Sequence[int]) -> bool:
     return _interrupted(word, values)
 
 
-def _scan(word: Word, k: int, uninterrupted_only: bool) -> Optional[Zigzag]:
-    n = len(word)
-    m = k + 2
-    if k < 0:
-        raise ValueError("zigzag degree must be non-negative")
-    if m > n:
-        return None
-    pos = {v: i for i, v in enumerate(word, start=1)}
-    desc = sorted(word, reverse=True)
-    for sub in itertools.combinations(desc, m):
-        p0 = pos[sub[0]]
-        if all((pos[sub[i]] > p0) == (i % 2 == 1) for i in range(1, m)):
-            inter = _interrupted(word, sub)
-            if uninterrupted_only and inter:
-                continue
-            return Zigzag(sub, inter)
-    return None
+def _chain(w: Word, order: list[int], i: int) -> list[int]:
+    """The greedy chain of the pivot at order[i] (the positions of w by
+    descending value): the pivot, then each smaller value in turn on the
+    side whose turn it is, right of the pivot first.  A larger value never
+    shrinks the choices further down, so the chain is the longest zigzag
+    from its pivot and, cut to any length, the lexicographically largest."""
+    p0 = order[i]
+    chain = [w[p0]]
+    for p in order[i + 1:]:
+        if (p > p0) == (len(chain) % 2 == 1):
+            chain.append(w[p])
+    return chain
 
 
 def find_zigzag(word: Sequence[int], k: int) -> Optional[Zigzag]:
-    """The lexicographically largest k-zigzag, or None.
+    """The lexicographically largest k-zigzag, or None: the chain of the
+    largest pivot that reaches k + 2 entries, cut to k + 2.
 
     >>> find_zigzag((1, 5, 3, 2, 7, 8, 4, 6), 3).values
     (8, 6, 5, 4, 3)
     """
-    return _scan(tuple(word), k, uninterrupted_only=False)
-
-
-def find_uninterrupted_zigzag(word: Sequence[int], k: int) -> Optional[Zigzag]:
-    """The lexicographically largest uninterrupted k-zigzag, or None."""
-    return _scan(tuple(word), k, uninterrupted_only=True)
-
-
-def _chain_length(left_desc: list[int], right_desc: list[int], bound: int) -> int:
-    """Longest strictly decreasing chain below bound alternating
-    right, left, right, ... between the two descending value lists."""
-    i = j = 0
-    length = 0
-    take_right = True
-    while True:
-        if take_right:
-            while i < len(right_desc) and right_desc[i] >= bound:
-                i += 1
-            if i == len(right_desc):
-                return length
-            bound = right_desc[i]
-            i += 1
-        else:
-            while j < len(left_desc) and left_desc[j] >= bound:
-                j += 1
-            if j == len(left_desc):
-                return length
-            bound = left_desc[j]
-            j += 1
-        length += 1
-        take_right = not take_right
+    if k < 0:
+        raise ValueError("zigzag degree must be non-negative")
+    w = tuple(word)
+    order = sorted(range(len(w)), key=w.__getitem__, reverse=True)
+    for i in range(len(w)):
+        values = tuple(_chain(w, order, i)[:k + 2])
+        if len(values) == k + 2:
+            return Zigzag(values, _interrupted(w, values))
+    return None
 
 
 def max_zigzag_degree(word: Sequence[int]) -> int:
-    """Largest k such that word contains a k-zigzag; -1 for the identity.
-
-    Greedy per pivot: always extending the chain with the largest legal
-    value is optimal, because a larger value never shrinks the choices
-    available further down the chain.
-    """
+    """Largest k such that word contains a k-zigzag; -1 for the identity:
+    the longest chain less 2."""
     w = tuple(word)
-    best = -1
-    for p0, v in enumerate(w):
-        left = sorted((x for x in w[:p0] if x < v), reverse=True)
-        right = sorted((x for x in w[p0 + 1:] if x < v), reverse=True)
-        best = max(best, _chain_length(left, right, v) - 1)
-    return best
+    n = len(w)
+    order = sorted(range(n), key=w.__getitem__, reverse=True)
+    best = 1
+    for i in range(n):
+        if n - i <= best:  # the pivot at order[i] has at most n - i entries
+            break
+        best = max(best, len(_chain(w, order, i)))
+    return best - 2
 
 
 def _windows(w: Word) -> tuple[list[int], list[int]]:
@@ -178,26 +149,15 @@ def _windows(w: Word) -> tuple[list[int], list[int]]:
     return left, right
 
 
-def zigzag_degrees(word: Sequence[int]) -> tuple[int, int]:
-    """(max zigzag degree, max uninterrupted zigzag degree).
-
-    Dropping the final entry of an (uninterrupted) zigzag leaves an
-    (uninterrupted) zigzag, so both families are downward closed and the
-    two maxima capture every k at once.
-
-    The uninterrupted maximum is a DP over the window lemma.  picks(a, b)
-    is the largest number of entries that can follow the entry at position
-    a, the next one smaller than w[a] and in the window of the entry at
-    position b, the last entry on the side it goes to.  A window never
-    crosses a larger value, so once each side holds an entry the pivot
-    plays no further part and picks is shared by all pivots.  Taking the
-    largest legal value is not optimal here, since it can shrink the
-    window the next pick on that side must lie in.
-    """
-    w = tuple(word)
+def _window_dp(w: Word, left: list[int], right: list[int]) -> Callable[[int, int], int]:
+    """picks(a, b) for w, with left and right from _windows(w): the most
+    entries that can follow the entry at position a, the next one smaller
+    than w[a] and in the window of the entry at position b, the last entry
+    on the side it goes to.  A window never crosses a larger value, so once
+    each side holds an entry the pivot plays no further part and picks
+    serves all pivots.  Taking the largest legal value is not optimal
+    here: it can shrink the window the next pick on that side must lie in."""
     n = len(w)
-    maxz = max_zigzag_degree(w)
-    left, right = _windows(w)
     memo = [-1] * (n * n)
 
     def picks(a: int, b: int) -> int:
@@ -211,12 +171,57 @@ def zigzag_degrees(word: Sequence[int]) -> tuple[int, int]:
             memo[a * n + b] = r
         return r
 
-    best = 0  # entries after the pivot z0: z1 right of it, then z2 left
+    return picks
+
+
+def find_uninterrupted_zigzag(word: Sequence[int], k: int) -> Optional[Zigzag]:
+    """The lexicographically largest uninterrupted k-zigzag, or None: each
+    entry the largest value that can follow the ones before it (z_1 right
+    of z_0, z_2 left of it, a later entry in the window of the previous
+    entry of its class) from which the window DP still reaches k + 2."""
+    if k < 0:
+        raise ValueError("zigzag degree must be non-negative")
+    w = tuple(word)
+    left, right = _windows(w)
+    picks = _window_dp(w, left, right)
+
+    def nexts(z: list[int]) -> list[int]:  # the positions that can follow z
+        b = z[-2] if len(z) > 1 else z[0]
+        span = (range(b + 1, len(w)) if len(z) == 1 else range(b) if len(z) == 2
+                else range(left[b] + 1, right[b]))
+        return [c for c in span if w[c] < w[z[-1]]]
+
+    def reach(z: list[int]) -> int:  # the most entries of a zigzag that starts z
+        if len(z) > 2:
+            return len(z) + picks(z[-1], z[-2])
+        return max((reach(z + [c]) for c in nexts(z)), default=len(z))
+
+    z: list[int] = []
+    while len(z) < k + 2:
+        fits = [c for c in (nexts(z) if z else range(len(w))) if reach(z + [c]) >= k + 2]
+        if not fits:
+            return None
+        z.append(max(fits, key=w.__getitem__))
+    return Zigzag(tuple(w[p] for p in z), False)
+
+
+def zigzag_degrees(word: Sequence[int]) -> tuple[int, int]:
+    """(max zigzag degree, max uninterrupted zigzag degree).
+
+    Dropping the final entry of an (uninterrupted) zigzag leaves an
+    (uninterrupted) zigzag, so both families are downward closed and the
+    two maxima capture every k at once.  The uninterrupted maximum tries
+    every z_0, z_1 and z_2 and reads the rest from the window DP.
+    """
+    w = tuple(word)
+    n = len(w)
+    maxz = max_zigzag_degree(w)
+    picks = _window_dp(w, *_windows(w))
+    best = min(maxz + 1, 1)  # entries after z0 (z1 right, z2 left): 1 if w has an inversion
     for p0, z0 in enumerate(w):
         for p1 in range(p0 + 1, n):
             z1 = w[p1]
             if z1 < z0:
-                best = max(best, 1)
                 for p2 in range(p0):
                     if w[p2] < z1:
                         best = max(best, 2 + picks(p2, p1))

@@ -69,6 +69,14 @@ class TestPatternAndZigzag:
         status, out = run(capsys, "zigzag", "--k", "2", "--format", "json", "1 2 3")
         assert json.loads(out) == {"k": 2, "zigzag": None}
 
+    @pytest.mark.parametrize("flags", [(), ("--uninterrupted",)])
+    def test_zigzag_negative_k(self, capsys, flags):
+        status = main(["zigzag", "--k", "-1", *flags, "2 1"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: zigzag degree must be non-negative\n"
+
 
 class TestPolyAndCount:
     def test_poly(self, capsys):

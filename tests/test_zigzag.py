@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scan_degree, scan_zigzag
 from revstack.patterns import contains_classical, parse_pattern
 from revstack.perms import deg_revstack, is_identity
 from revstack.zigzag import (
@@ -69,8 +70,18 @@ def uninterrupted_degree_matches_scan(w):
     finds: a u-zigzag and no (u + 1)-zigzag, which settles every larger k
     because the family is downward closed."""
     _, u = zigzag_degrees(w)
-    return (u < 0 or find_uninterrupted_zigzag(w, u) is not None) and (
-        find_uninterrupted_zigzag(w, u + 1) is None
+    return (u < 0 or scan_zigzag(w, u, uninterrupted=True) is not None) and (
+        scan_zigzag(w, u + 1, uninterrupted=True) is None
+    )
+
+
+def finders_match_scan(w):
+    """Both finders return the scan's zigzag, or None with it, for every k
+    from 0 to n + 1."""
+    return all(
+        find_zigzag(w, k) == scan_zigzag(w, k)
+        and find_uninterrupted_zigzag(w, k) == scan_zigzag(w, k, uninterrupted=True)
+        for k in range(len(w) + 2)
     )
 
 
@@ -190,16 +201,17 @@ class TestFastDegrees:
         for n in range(1, 8):
             for w in all_perms(n):
                 maxz, maxu = zigzag_degrees(w)
-                brute_z = max(
-                    (k for k in range(n) if find_zigzag(w, k) is not None), default=-1
-                )
-                brute_u = max(
-                    (k for k in range(n) if find_uninterrupted_zigzag(w, k) is not None),
-                    default=-1,
-                )
+                brute_z = scan_degree(w)
                 assert maxz == brute_z
-                assert maxu == brute_u
+                assert maxu == scan_degree(w, uninterrupted=True)
                 assert max_zigzag_degree(w) == brute_z
+
+    def test_degrees_of_words_that_are_not_permutations(self):
+        # any word of distinct values: only the relative order counts
+        for w in all_perms(6):
+            word = tuple(10 * v - 25 for v in w)
+            assert zigzag_degrees(word) == zigzag_degrees(w)
+            assert max_zigzag_degree(word) == max_zigzag_degree(w)
 
     def test_uninterrupted_agrees_with_scan_n8(self):
         for w in all_perms(8):
@@ -219,7 +231,7 @@ class TestFastDegrees:
     @given(perms(max_n=8))
     @settings(deadline=None)
     def test_found_zigzags_are_valid(self, w):
-        maxz, _ = zigzag_degrees(w)
+        maxz, maxu = zigzag_degrees(w)
         for k in range(maxz + 1):
             z = find_zigzag(w, k)
             assert z is not None
@@ -227,3 +239,31 @@ class TestFastDegrees:
             assert isinstance(z, Zigzag)
             assert z.k == k
             assert is_interrupted(w, z.values) == z.interrupted
+        for k in range(maxu + 1):
+            z = find_uninterrupted_zigzag(w, k)
+            assert isinstance(z, Zigzag)
+            assert is_zigzag(w, z.values)
+            assert z.k == k
+            assert z.interrupted is False
+            assert not is_interrupted(w, z.values)
+
+
+class TestFindersAgainstScan:
+    """find_zigzag and find_uninterrupted_zigzag against the subset scan
+    of tests/oracles.py, which tries decreasing value subsets in descending
+    lexicographic order."""
+
+    def test_every_permutation_up_to_n7(self):
+        for n in range(8):
+            for w in all_perms(n):
+                assert finders_match_scan(w), w
+
+    @given(perms(max_n=12, min_n=8))
+    @settings(deadline=None)
+    def test_larger_permutations(self, w):
+        assert finders_match_scan(w)
+
+    @pytest.mark.extended
+    def test_every_permutation_of_s8(self):
+        for w in all_perms(8):
+            assert finders_match_scan(w), w
