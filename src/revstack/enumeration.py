@@ -12,8 +12,9 @@ descent count and both degrees once per permutation, feeds them to every
 per-permutation check and fills both descent tables, and each check
 reports the lexicographically least permutation it fails on.  Descent
 tables and the degree arrays shard by the position of n and make no
-sorting pass over S_n (their kernels are in split).  Hard cap n <= 12,
-the largest size timed (about a minute per sorter on two cores).
+sorting pass over S_n (their kernels are in split).  Hard cap n <= 13,
+the largest size timed (3 to 4 minutes per sorter on two cores, with
+about 2 GB resident in the parent and its largest worker together).
 
 verify_steingrimsson, classify_degree_nm2 and reproduce_appendix read
 descent tables only through a table(n, sorter) callable (default
@@ -68,7 +69,7 @@ from .polynomials import (
 from .roots import check_interlacing, real_roots
 from .split import _array_shard, _interleave, _rank, _split_shard
 
-MAX_N = 12
+MAX_N = 13
 CACHE_FORMAT_VERSION = 2
 CACHE_ENV_VAR = "PERMSORT_CACHE_DIR"
 ROOT_TOLERANCE = 1e-4
@@ -203,7 +204,7 @@ def _table_counts(n: int, sorter: str, jobs: Optional[int]) -> tuple[tuple[int, 
         return ((1,),)
     smaller = _table_counts(n - 1, sorter, jobs)
     prev = _degree_array(n - 1, sorter, jobs)
-    return _add_counts(_sweep(n, _split_shard, jobs, (prev,), sorter, smaller, pool_from=9))
+    return _add_counts(_sweep(n, _split_shard, jobs, (prev,), sorter, smaller, pool_from=11))
 
 
 # -- result cache ----------------------------------------------------------

@@ -8,15 +8,19 @@ here run as shards of enumeration._sweep, one per position of n:
 _split_shard counts descent tables from the sorted patterns of each side
 (_patterns), and _array_shard writes the degree array of S_n in blocks,
 which _interleave merges into rank order.  Neither makes a sorting pass
-over S_n; each walks S_|side| once per side.
+over S_n.  The array shards sort each side's permutations once; the
+table shards sort nothing, since _patterns builds the sorted patterns of
+S_a and their descent polynomials from those of smaller sides by the
+same split.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
 
-from .perms import Word, descents, revstack_sort_sim, stack_sort_sim
+from .perms import Word, revstack_sort_sim, stack_sort_sim
 
 
 def _rank(word: Word) -> int:
@@ -132,15 +136,41 @@ def _interleave(a: bytes, b: bytes, unit: int, ratio: int) -> bytes:
     return bytes(out)
 
 
-def _patterns(a: int, sorter: str, bits: int) -> dict[Word, int]:
-    """The descent polynomial of each sorted pattern X(p) of S_a: the sum
-    of t^des(p) over the p with that pattern, its coefficients packed into
-    one int, bits apiece."""
-    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
+_BITS = 64  # bits per packed coefficient: any count of S_n up to n = 20 fits
+
+
+@functools.cache
+def _patterns(a: int) -> dict[Word, int]:
+    """The descent polynomial of each sorted pattern y = S(p) of S_a (the
+    sorted permutations of Bousquet-Melou, 2000): the sum of t^des(p) over
+    the p with that pattern, its coefficients packed into one int, _BITS
+    apiece.  The map is the same for T.
+
+    Built from smaller sides, with no sorting pass: p = L a R gives
+    y = U V a with U = S(L), V = S(R), and des(p) = des(L) + des(R) + 1
+    when R is non-empty.  So for each length of U, each set of values of
+    U and each pair of patterns of the smaller levels, the relabelled
+    U V a gains the product of their polynomials, times t unless V is
+    empty.  For T, U = T(R) and V = T(L), so the t goes with a non-empty
+    U instead.  The two sums differ only at the two splits with an empty
+    part, which give P(U V) + t P(U V) in either, so by induction on a
+    both sorters have one map."""
+    if a == 0:
+        return {(): 1}
     polys: dict[Word, int] = {}
-    for p in itertools.permutations(range(1, a + 1)):
-        x = sort(p)
-        polys[x] = polys.get(x, 0) + (1 << (bits * descents(p)))
+    for r in range(a):  # the length of U
+        shift = _BITS if r < a - 1 else 0  # t unless V is empty
+        us, vs = _patterns(r).items(), _patterns(a - 1 - r).items()
+        for values in itertools.combinations(range(1, a), r):  # the values of U
+            mine = (0, *values)
+            rest = (0, *(v for v in range(1, a) if v not in values))
+            tails = [(tuple(map(rest.__getitem__, x)) + (a,), v_poly << shift)
+                     for x, v_poly in vs]
+            for x, u_poly in us:
+                head = tuple(map(mine.__getitem__, x))
+                for tail, v_poly in tails:
+                    y = head + tail
+                    polys[y] = polys.get(y, 0) + u_poly * v_poly
     return polys
 
 
@@ -153,10 +183,10 @@ def _split_shard(n: int, i: int, prev: bytes, sorter: str,
     tail the sides X puts first and second, its rank is a head offset
     (_offsets) plus the rank of the tail's sorted pattern, and
     des(w) = des(L) + des(R) + 1.  Both sides are grouped by sorted
-    pattern (_patterns, bits = n!.bit_length() per coefficient, so none
-    carries), so a pattern pair costs one lookup and one add, and a head
-    pattern one multiply per degree.  The end shards move the counts of
-    S_(n-1)."""
+    pattern (_patterns, whose _BITS per coefficient hold any count of
+    S_n, so none carries), so a pattern pair costs one lookup and one add,
+    and a head pattern one multiply per degree.  The end shards move the
+    counts of S_(n-1)."""
     k = i - 1
     counts = [[0] * n for _ in range(n)]
     if k in (0, n - 1):
@@ -167,25 +197,24 @@ def _split_shard(n: int, i: int, prev: bytes, sorter: str,
                 else:  # deg(n R) = max(deg R, 1), des(n R) = des(R) + 1
                     counts[max(d, 1)][j + 1] += count
         return counts
-    bits = math.factorial(n).bit_length()
     head, tail = (n - 1 - k, k) if sorter == "revstack" else (k, n - 1 - k)
     weights = [math.factorial(n - 2 - j) for j in range(head)]
-    tails = [(_rank(x), poly) for x, poly in _patterns(tail, sorter, bits).items()]
+    tails = [(_rank(x), poly) for x, poly in _patterns(tail).items()]
     # for each set of tail values, the number of head values below each
     belows = [[u - 1 - j for j, u in enumerate(others)]
               for others in itertools.combinations(range(1, n), tail)]
     polys = [0] * (n - 1)  # indexed by prev, one less than the degree
-    for x, head_poly in _patterns(head, sorter, bits).items():
+    for x, head_poly in _patterns(head).items():
         base, above = _offsets(x, weights)
+        tail_polys = [0] * (n - 1)
         for below in belows:
             off = base + sum(map(above.__getitem__, below))
-            tail_polys = [0] * (n - 1)
             for rank, tail_poly in tails:
                 tail_polys[prev[off + rank]] += tail_poly
-            for d, tail_poly in enumerate(tail_polys):
-                polys[d] += head_poly * tail_poly
-    mask = (1 << bits) - 1
+        for d, tail_poly in enumerate(tail_polys):
+            polys[d] += head_poly * tail_poly
+    mask = (1 << _BITS) - 1
     for d, poly in enumerate(polys):
         for j in range(n - 1):
-            counts[d + 1][j + 1] = (poly >> (bits * j)) & mask
+            counts[d + 1][j + 1] = (poly >> (_BITS * j)) & mask
     return counts

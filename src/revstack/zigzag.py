@@ -182,26 +182,36 @@ def find_uninterrupted_zigzag(word: Sequence[int], k: int) -> Optional[Zigzag]:
     if k < 0:
         raise ValueError("zigzag degree must be non-negative")
     w = tuple(word)
+    if k > max_zigzag_degree(w):  # no k-zigzag at all
+        return None
     left, right = _windows(w)
     picks = _window_dp(w, left, right)
+    order = sorted(range(len(w)), key=w.__getitem__, reverse=True)
 
-    def nexts(z: list[int]) -> list[int]:  # the positions that can follow z
+    def nexts(z: tuple[int, ...]) -> list[int]:  # what can follow z, by descending value
         b = z[-2] if len(z) > 1 else z[0]
         span = (range(b + 1, len(w)) if len(z) == 1 else range(b) if len(z) == 2
                 else range(left[b] + 1, right[b]))
-        return [c for c in span if w[c] < w[z[-1]]]
+        return [c for c in order if c in span and w[c] < w[z[-1]]]
 
-    def reach(z: list[int]) -> int:  # the most entries of a zigzag that starts z
+    need = k + 2
+    pivots: dict[tuple[int, ...], bool] = {}  # reaches() of (z_0) and (z_0, z_1)
+
+    def reaches(z: tuple[int, ...]) -> bool:  # whether a zigzag of need entries starts z
         if len(z) > 2:
-            return len(z) + picks(z[-1], z[-2])
-        return max((reach(z + [c]) for c in nexts(z)), default=len(z))
+            return len(z) + picks(z[-1], z[-2]) >= need
+        if z not in pivots:
+            pivots[z] = len(z) >= need or any(reaches(z + (c,)) for c in nexts(z))
+        return pivots[z]
 
-    z: list[int] = []
-    while len(z) < k + 2:
-        fits = [c for c in (nexts(z) if z else range(len(w))) if reach(z + [c]) >= k + 2]
-        if not fits:
+    z: tuple[int, ...] = ()
+    while len(z) < need:
+        for c in nexts(z) if z else order:
+            if reaches(z + (c,)):
+                z += (c,)
+                break
+        else:
             return None
-        z.append(max(fits, key=w.__getitem__))
     return Zigzag(tuple(w[p] for p in z), False)
 
 

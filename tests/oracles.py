@@ -5,7 +5,20 @@ can compare the library's fast algorithms with something independent.
 """
 import itertools
 
+from revstack.perms import descents, revstack_sort_sim, stack_sort_sim
 from revstack.zigzag import Zigzag, _interrupted
+
+
+def walk_patterns(a, sorter, bits):
+    """split._patterns by sorting every permutation p of S_a: each sorted
+    pattern X(p) with the sum of t^des(p) over its p, bits per packed
+    coefficient."""
+    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
+    polys = {}
+    for p in itertools.permutations(range(1, a + 1)):
+        x = sort(p)
+        polys[x] = polys.get(x, 0) + (1 << (bits * descents(p)))
+    return polys
 
 
 def scan_zigzag(word, k, uninterrupted=False):

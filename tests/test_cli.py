@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from revstack import enumeration
 from revstack.cli import main
 from revstack.perms import parse_permutation
 
@@ -185,7 +186,7 @@ class TestTable:
         assert blocker.read_text() == ""
 
     def test_rejects_oversized_n(self, capsys):
-        status, _ = run(capsys, "table", "--n", "13", "--no-cache")
+        status, _ = run(capsys, "table", "--n", str(enumeration.MAX_N + 1), "--no-cache")
         assert status == 2
 
     def test_jobs_values_agree(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_zigzag
+from oracles import scan_zigzag, walk_patterns
 from revstack.enumeration import (
     CACHE_FORMAT_VERSION,
     SORTERS,
@@ -51,7 +51,7 @@ from revstack.polynomials import (
     count_revstack_nm3,
     eulerian_poly,
 )
-from revstack.split import _array_shard, _offsets, _rank, _split_shard
+from revstack.split import _BITS, _array_shard, _offsets, _patterns, _rank, _split_shard
 
 
 def catalan(n):
@@ -153,7 +153,7 @@ class TestDescentTable:
         with pytest.raises(ValueError):
             descent_table(5, "bubble")
         with pytest.raises(ValueError):
-            descent_table(13)
+            descent_table(enumeration.MAX_N + 1)
         with pytest.raises(ValueError):
             descent_table(0)
 
@@ -204,12 +204,29 @@ class TestSplitKernel:
 
     @pytest.mark.parametrize("sorter", SORTERS)
     def test_pools_agree_with_serial(self, sorter):
-        # 9 is the smallest size whose array and table sweeps use a pool
+        # 9 is the smallest size whose array sweep uses a pool, 11 the
+        # smallest whose table sweep does
         enumeration._DEGREE_ARRAYS.clear()
-        pooled = _degree_array(9, sorter, jobs=2), descent_table(9, sorter, jobs=2)
+        array, table = _degree_array(9, sorter, jobs=2), descent_table(11, sorter, jobs=2)
+        assert descent_table(11, sorter, jobs=1) == table  # from the same arrays
+        assert _is_sound(table)
         enumeration._DEGREE_ARRAYS.clear()
-        assert (_degree_array(9, sorter), descent_table(9, sorter, jobs=1)) == pooled
-        assert _is_sound(pooled[1])
+        assert _degree_array(9, sorter) == array
+
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_patterns_match_the_walk(self, sorter):
+        for a in range(1, 9):
+            assert _patterns(a) == walk_patterns(a, sorter, _BITS), a
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("sorter", SORTERS)
+    @pytest.mark.parametrize("a", [9, 10])
+    def test_patterns_match_the_walk_at_a9_a10(self, a, sorter):
+        assert _patterns(a) == walk_patterns(a, sorter, _BITS)
+
+    def test_packed_coefficients_hold_the_largest_count(self):
+        # a table coefficient counts at most n! permutations
+        assert math.factorial(enumeration.MAX_N) < 1 << _BITS
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(permutations_of), st.sampled_from(SORTERS))
@@ -241,20 +258,35 @@ class TestSplitKernel:
                     expected[degree(w)][descents(w)] += 1
                 assert _split_shard(n, i, prev, sorter, smaller) == expected, (n, i)
 
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_each_shard_counts_its_position_of_n(self, sorter):
+        # the table sums the shards, so a shard that counts the wrong
+        # position of n can hide behind its mirror image
+        sort, _ = SORT_AND_DEGREE[sorter]
+        for n in range(3, 9):
+            smaller = descent_table(n - 1, sorter).deg_des
+            prev = _degree_array(n - 1, sorter)
+            expected = [[[0] * n for _ in range(n)] for _ in range(n)]
+            for w in itertools.permutations(range(1, n + 1)):
+                expected[w.index(n)][_degree(w, sort(w), prev)][descents(w)] += 1
+            for i in range(1, n + 1):
+                assert _split_shard(n, i, prev, sorter, smaller) == expected[i - 1], (n, i)
+
     def test_tables_do_not_depend_on_the_start_method(self):
         # spawned workers share no memory with the parent: the degree
-        # arrays reach them only through the pool initializer
+        # arrays reach them only through the pool initializer, and each
+        # worker builds the sorted-pattern levels its shards read
         code = textwrap.dedent("""
             import multiprocessing
             from revstack import enumeration
             if __name__ == "__main__":
                 multiprocessing.set_start_method("spawn")
                 for sorter in enumeration.SORTERS:
-                    pooled = (enumeration._degree_array(9, sorter, jobs=2),
-                              enumeration.descent_table(9, sorter, jobs=2))
+                    array = enumeration._degree_array(9, sorter, jobs=2)
+                    table = enumeration.descent_table(11, sorter, jobs=2)
+                    same = enumeration.descent_table(11, sorter, jobs=1) == table
                     enumeration._DEGREE_ARRAYS.clear()
-                    print(pooled == (enumeration._degree_array(9, sorter),
-                                     enumeration.descent_table(9, sorter, jobs=1)))
+                    print(same and enumeration._degree_array(9, sorter) == array)
         """)
         src = Path(enumeration.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
