@@ -336,6 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact counts and coefficients can run past the default 4300 digits.
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -8,11 +8,12 @@ results are identical for any worker count.  Sweeps read a permutation's
 degree from the memoised byte array of S_(n-1) degrees (_degree_array),
 handed to each worker once.  The theorem suite and the zigzag counts
 shard by first element; the theorem pass computes T(w), S(w), the
-descent count and both degrees once per permutation, feeds them to every
-per-permutation check and fills both descent tables, and each check
-reports the lexicographically least permutation it fails on.  Descent
-tables and the degree arrays shard by the position of n and make no
-sorting pass over S_n (their kernels are in split).  Hard cap n <= 13,
+descent count and both degrees once per permutation and feeds them to
+every per-permutation check, and each check reports the
+lexicographically least permutation it fails on.  The suite's table
+checks read both descent tables from descent_table.  Descent tables and
+the degree arrays shard by the position of n and make no sorting pass
+over S_n (their kernels are in split).  Hard cap n <= 13,
 the largest size timed (3 to 4 minutes per sorter on two cores, with
 about 2 GB resident in the parent and its largest worker together).
 
@@ -60,6 +61,7 @@ from .polynomials import (
     degree_nm2_contributions,
     eulerian_poly,
     is_log_concave,
+    is_symmetric,
     is_unimodal,
     narayana_poly,
     w_revstack_nm2,
@@ -502,12 +504,12 @@ def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[
     for t in range(n):
         v = rev.descent_counts(t)
         w = st.descent_counts(t)
+        p = rev.row(t)
         # symmetry needs t >= 1: the duality argument applies the operator
         # once, and the t = 0 row (just the identity permutation) is
         # asymmetric for every n >= 2
-        if t >= 1 and any(v[i] != v[n - 1 - i] for i in range(n)):
+        if t >= 1 and not is_symmetric(p, n):
             sym = sym or f"symmetry at t={t}"
-        p = rev.row(t)
         if not is_unimodal(p):
             uni = uni or f"unimodality at t={t}"
         if not is_log_concave(p):

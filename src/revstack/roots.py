@@ -4,16 +4,17 @@ Polynomials are ``IntPoly`` with integer coefficients throughout.  Division
 is pseudo-division by the absolute leading coefficient, and every Sturm
 term and gcd is divided by the positive gcd of its coefficients, so each is
 a positive multiple of its classical rational counterpart with the same
-signs.  Multiplicities come from square-free decomposition by repeated
-derivative-gcd; the square-free parts are primitive with a positive
-leading coefficient.  Bisection starts from an integer Cauchy bound, so
-interval endpoints are dyadic ``Fraction``s, and f(u/v) is evaluated as
-v^d f(u/v) by Horner's rule in integers.  Reported decimal approximations
-are rounded half-even to five places.
+signs.  Evaluation returns signs only: the sign of f(u/v) is that of
+v^d f(u/v), computed by Horner's rule in integers.  Isolation runs on the
+square-free kernel (the product of the square-free parts) with one Sturm
+chain, so the intervals are disjoint from the start; each root's
+multiplicity is that of the one square-free part that vanishes or changes
+sign on its interval.  Bisection starts from an integer Cauchy bound, so
+interval endpoints are dyadic ``Fraction``s.  Reported decimal
+approximations are rounded half-even to five places.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -25,14 +26,15 @@ from .polynomials import IntPoly, narayana_poly, w_revstack_nm2
 DEFAULT_WIDTH = Fraction(1, 10**7)
 
 
-def poly_eval(f: IntPoly, x: Fraction) -> Fraction:
-    """The exact value f(x), from v^d f(u/v) in integers for x = u/v."""
+def _sign(f: IntPoly, x: Fraction) -> int:
+    """The sign (-1, 0 or 1) of f(x), from v^d f(u/v) in integers for
+    x = u/v with v > 0."""
     u, v = x.numerator, x.denominator
     acc, scale = 0, 1
     for c in reversed(f.coeffs):
         acc = acc * u + c * scale
         scale *= v
-    return Fraction(acc, v ** max(f.degree, 0))
+    return (acc > 0) - (acc < 0)
 
 
 def poly_derivative(f: IntPoly) -> IntPoly:
@@ -114,16 +116,17 @@ def sturm_chain(f: IntPoly) -> list[IntPoly]:
     return chain[:-1]
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def sign_variations(signs: Sequence[int]) -> int:
+    """Sign changes along the sequence, zeros skipped."""
+    nonzero = [s > 0 for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
 def count_roots_between(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots of the chain's polynomial in (a, b); requires
     that neither endpoint is a root."""
-    va = sign_variations([poly_eval(c, a) for c in chain])
-    vb = sign_variations([poly_eval(c, b) for c in chain])
+    va = sign_variations([_sign(c, a) for c in chain])
+    vb = sign_variations([_sign(c, b) for c in chain])
     return va - vb
 
 
@@ -190,71 +193,44 @@ class RootReport:
         }
 
 
-def _isolate_square_free(f: IntPoly, lo: Fraction, hi: Fraction,
-                         chain: list[IntPoly]) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the roots of square-free f inside (lo, hi);
-    both endpoints must be non-roots."""
+def _isolate(chain: list[IntPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals, in ascending order, for the roots inside
+    (lo, hi) of the square-free polynomial f = chain[0]; both endpoints
+    must be non-roots."""
     k = count_roots_between(chain, lo, hi)
     if k == 0:
         return []
     if k == 1:
         return [(lo, hi)]
+    f = chain[0]
     mid = (lo + hi) / 2
-    if poly_eval(f, mid) == 0:
+    if _sign(f, mid) == 0:
         # Exact root at the midpoint: fence it off with a shrinking collar.
         w = (hi - lo) / 4
         while True:
             a, b = mid - w, mid + w
-            if (
-                poly_eval(f, a) != 0
-                and poly_eval(f, b) != 0
-                and count_roots_between(chain, a, b) == 1
-            ):
+            if _sign(f, a) and _sign(f, b) and count_roots_between(chain, a, b) == 1:
                 break
             w /= 2
-        return (
-            _isolate_square_free(f, lo, a, chain)
-            + [(mid, mid)]
-            + _isolate_square_free(f, b, hi, chain)
-        )
-    return _isolate_square_free(f, lo, mid, chain) + _isolate_square_free(f, mid, hi, chain)
+        return _isolate(chain, lo, a) + [(mid, mid)] + _isolate(chain, b, hi)
+    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
 
 
 def _refine(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink a one-root sign-changing interval below the requested width."""
     if lo == hi:
         return lo, hi
-    slo = poly_eval(f, lo)
+    slo = _sign(f, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        vmid = poly_eval(f, mid)
-        if vmid == 0:
+        smid = _sign(f, mid)
+        if smid == 0:
             return mid, mid
-        if (slo > 0) != (vmid > 0):
+        if smid != slo:
             hi = mid
         else:
-            lo, slo = mid, vmid
+            lo = mid
     return lo, hi
-
-
-def _separate(isolated: list[tuple[IntPoly, int, Fraction, Fraction]]) -> None:
-    """Make the (part, mult, lo, hi) root intervals pairwise disjoint in
-    place: bisect, each on its own square-free part, every interval that
-    overlaps one of another part; intervals may share an endpoint.
-    Different parts have no common root, so this ends."""
-    while True:
-        clashing = {
-            k
-            for a, b in itertools.combinations(range(len(isolated)), 2)
-            if isolated[a][1] != isolated[b][1]
-            and isolated[a][2] < isolated[b][3] and isolated[b][2] < isolated[a][3]
-            for k in (a, b)
-        }
-        if not clashing:
-            return
-        for k in clashing:
-            part, mult, lo, hi = isolated[k]
-            isolated[k] = (part, mult, *_refine(part, lo, hi, (hi - lo) / 2))
 
 
 def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
@@ -275,17 +251,19 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
     if zero_mult:
         roots.append(RootInterval(Fraction(0), Fraction(0), zero_mult))
 
-    isolated: list[tuple[IntPoly, int, Fraction, Fraction]] = []
     if f.degree > 0:
+        parts = square_free_parts(f)
+        # The square-free kernel; primitive with a positive lead by Gauss's lemma.
+        g = math.prod((part for part, _ in parts), start=IntPoly.from_coeffs([1]))
+        chain = sturm_chain(g)
         bound = Fraction(cauchy_bound(f))
-        for part, mult in square_free_parts(f):
-            chain = sturm_chain(part)
-            # 0 is not a root of f here, so split there: intervals never straddle 0.
-            neg = _isolate_square_free(part, -bound, Fraction(0), chain)
-            pos = _isolate_square_free(part, Fraction(0), bound, chain)
-            isolated.extend((part, mult, *_refine(part, lo, hi, width)) for lo, hi in neg + pos)
-    _separate(isolated)
-    roots.extend(RootInterval(lo, hi, mult) for _, mult, lo, hi in isolated)
+        # 0 is not a root of f here, so split there: intervals never straddle 0.
+        for lo, hi in _isolate(chain, -bound, Fraction(0)) + _isolate(chain, Fraction(0), bound):
+            lo, hi = _refine(g, lo, hi, width)
+            # The one root in [lo, hi] is a simple root of exactly one part:
+            # the part that vanishes at lo == hi or changes sign across (lo, hi).
+            mult = next(m for part, m in parts if _sign(part, lo) * _sign(part, hi) <= 0)
+            roots.append(RootInterval(lo, hi, mult))
 
     roots.sort(key=lambda r: (r.lo, r.hi))
     # No interval straddles 0, so a root is positive exactly when hi > 0.

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -143,6 +145,26 @@ class TestPolyAndCount:
         status, _ = run(capsys, "poly", "--which", "revstack-nm2", "--n", "2")
         assert status == 2
 
+    def test_count_past_the_integer_string_limit(self, capsys):
+        # 1700! - 1698! has 4756 digits, past the interpreter's default cap
+        # of 4300 on integer-string conversion; start from that cap.
+        capped = hasattr(sys, "set_int_max_str_digits")
+        if capped:
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(4300)
+        try:
+            expect = math.factorial(1700) - math.factorial(1698)
+            status, out = run(capsys, "count", "--what", "stack-nm2", "--n", "1700")
+            assert status == 0
+            assert out.strip() == str(expect)
+            status, out = run(capsys, "count", "--what", "stack-nm2", "--n", "1700",
+                              "--format", "json")
+            assert status == 0
+            assert json.loads(out) == {"what": "stack-nm2", "n": 1700, "count": expect}
+        finally:
+            if capped:
+                sys.set_int_max_str_digits(limit)
+
 
 class TestTable:
     def test_plain_and_csv(self, capsys, tmp_path):
@@ -229,6 +251,81 @@ class TestVerify:
         assert outputs[0][0] == 0
 
 
+# stdout of `roots --n 8 --t 3 --format json`: the exact interval
+# endpoints of one descent polynomial, pinned byte for byte.
+ROOTS_N8_T3_JSON = """\
+{
+ "poly": {
+  "coeffs": [
+   0,
+   1,
+   154,
+   2587,
+   9490,
+   9490,
+   2587,
+   154,
+   1
+  ]
+ },
+ "report": {
+  "all_real": true,
+  "nonpositive": true,
+  "roots": [
+   {
+    "lo": "-4652604972855/34359738368",
+    "hi": "-2326302485241/17179869184",
+    "approx": "-135.40863",
+    "mult": 1
+   },
+   {
+    "lo": "-479658497997/34359738368",
+    "hi": "-59957311953/4294967296",
+    "approx": "-13.95990",
+    "mult": 1
+   },
+   {
+    "lo": "-27867588903/8589934592",
+    "hi": "-111470353239/34359738368",
+    "approx": "-3.24421",
+    "mult": 1
+   },
+   {
+    "lo": "-8589934899/8589934592",
+    "hi": "-34359737223/34359738368",
+    "approx": "-1.00000",
+    "mult": 1
+   },
+   {
+    "lo": "-5295541713/17179869184",
+    "hi": "-10591081053/34359738368",
+    "approx": "-0.30824",
+    "mult": 1
+   },
+   {
+    "lo": "-1230659157/17179869184",
+    "hi": "-2461315941/34359738368",
+    "approx": "-0.07163",
+    "mult": 1
+   },
+   {
+    "lo": "-63437409/8589934592",
+    "hi": "-253747263/34359738368",
+    "approx": "-0.00739",
+    "mult": 1
+   },
+   {
+    "lo": "0",
+    "hi": "0",
+    "approx": "0.00000",
+    "mult": 1
+   }
+  ]
+ }
+}
+"""
+
+
 class TestRoots:
     def test_coeffs(self, capsys):
         status, out = run(capsys, "roots", "--coeffs", "0 1 4 1")
@@ -245,6 +342,14 @@ class TestRoots:
         blob = json.loads(out)
         assert blob["poly"] == {"coeffs": [0, 1, 10, 10, 1]}
         assert blob["report"]["all_real"] is True
+
+    def test_descent_polynomial_json_is_byte_stable(self, capsys, tmp_path):
+        status, out = run(
+            capsys, "roots", "--n", "8", "--t", "3", "--format", "json",
+            "--cache-dir", str(tmp_path),
+        )
+        assert status == 0
+        assert out == ROOTS_N8_T3_JSON
 
     def test_missing_arguments(self, capsys):
         for argv in (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from revstack.polynomials import IntPoly
 from revstack.roots import (
     InterlacingReport,
+    _sign,
     check_interlacing,
     count_roots_between,
     format_decimal,
@@ -184,6 +185,26 @@ class TestInterlacing:
         assert interlacing_pair_report(p, q, 0).ok
 
 
+class TestSign:
+    @given(
+        st.lists(st.integers(-50, 50), max_size=8),
+        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40)),
+        st.booleans(),
+    )
+    @example([], Fraction(3, 2), False)
+    @example([1, 2, 1], Fraction(-1), True)
+    @settings(deadline=None, max_examples=200)
+    def test_sign_is_the_sign_of_the_value(self, coeffs, x, through_x):
+        f = IntPoly.from_coeffs(coeffs)
+        if through_x:
+            # A factor v X - u makes x = u/v an exact root.
+            f = f * IntPoly.from_coeffs([-x.numerator, x.denominator])
+        value = f(x)
+        assert _sign(f, x) == (value > 0) - (value < 0)
+        if through_x:
+            assert _sign(f, x) == 0
+
+
 class TestKnownRootOracle:
     """Polynomials built from known roots; the roots are the only oracle."""
 
@@ -199,9 +220,16 @@ class TestKnownRootOracle:
     # A Sturm chain whose degree drops by two: pseudo-division by lc(g)^3
     # instead of |lc(g)|^3 would flip the sign of the next term.
     @example({Fraction(-2): 1, Fraction(2, 3): 1}, 2, 1, Fraction(1, 10**7))
-    # Roots of different multiplicities, isolated in different square-free
-    # factors, whose first intervals at this width are the same.
+    # Roots of different multiplicities closer together than the width:
+    # each needs its own interval, and the multiplicity of the one
+    # square-free part that changes sign on it.
     @example({Fraction(2): 1, Fraction(11, 5): 2}, 1, 1, Fraction(1, 3))
+    @example({Fraction(1, 7): 1, Fraction(1, 5): 3}, None, 1, Fraction(1, 3))
+    @example({Fraction(2, 3): 1, Fraction(3, 2): 1, Fraction(1): 3}, None, 1, Fraction(1, 3))
+    @example({Fraction(5, 2): 1, Fraction(17, 7): 2}, None, -1, Fraction(1, 3))
+    # A rational double root that bisection of the square-free kernel
+    # (2x - 1)(x - 1) brackets but never hits: its part 2x - 1 changes sign.
+    @example({Fraction(1, 2): 2, Fraction(1): 1}, None, 1, Fraction(1, 10**7))
     @settings(deadline=None, max_examples=60)
     def test_isolation_brackets_known_roots(self, mults, quad, scale, width):
         p = poly_from_roots([r for r, m in mults.items() for _ in range(m)]) * scale
