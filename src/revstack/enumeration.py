@@ -913,6 +913,9 @@ def reproduce_appendix(
     sizes = sorted({e["n"] for e in entries})
     enumerated = [n for n in sizes if n <= enumerate_max_n]
     tables = {n: table(n, "revstack") for n in enumerated}
+    # Several rows share a polynomial; isolate each one once, and keep only
+    # what the checks read, not the whole report.
+    isolated: dict[tuple[int, ...], tuple[bool, bool, list[float]]] = {}
 
     for e in entries:
         n, t = e["n"], e["t"]
@@ -923,14 +926,18 @@ def reproduce_appendix(
                     n, t, f"coefficients {got} != reference {e['coeffs']}"
                 ))
                 continue
-        rep = real_roots(IntPoly.from_coeffs(e["coeffs"]))
-        if not rep.all_real:
+        key = tuple(e["coeffs"])
+        if key not in isolated:
+            rep = real_roots(IntPoly.from_coeffs(key))
+            isolated[key] = (rep.all_real, rep.nonpositive,
+                             [float(a) for a in rep.approx_values()])
+        all_real, nonpositive, approx = isolated[key]
+        if not all_real:
             mismatches.append(AppendixMismatch(n, t, "roots not all real"))
             continue
-        if not rep.nonpositive:
+        if not nonpositive:
             mismatches.append(AppendixMismatch(n, t, "a positive root appeared"))
             continue
-        approx = [float(a) for a in rep.approx_values()]
         want = [float(r) for r in e["roots"]]
         if len(approx) != len(want):
             mismatches.append(AppendixMismatch(

@@ -10,8 +10,12 @@ square-free kernel (the product of the square-free parts) with one Sturm
 chain, so the intervals are disjoint from the start; each root's
 multiplicity is that of the one square-free part that vanishes or changes
 sign on its interval.  Bisection starts from an integer Cauchy bound, so
-interval endpoints are dyadic ``Fraction``s.  Reported decimal
-approximations are rounded half-even to five places.
+every point it visits is dyadic: an interval is two integer numerators
+over one power of two 2^e, and a ``Fraction`` is built only for a reported
+interval.  The Sturm chain is evaluated once at each new point (a midpoint
+or a collar end), and the sign-variation counts at an interval's ends are
+passed down to its halves, so each half's root count is one subtraction.
+Reported decimal approximations are rounded half-even to five places.
 """
 from __future__ import annotations
 
@@ -26,10 +30,9 @@ from .polynomials import IntPoly, narayana_poly, w_revstack_nm2
 DEFAULT_WIDTH = Fraction(1, 10**7)
 
 
-def _sign(f: IntPoly, x: Fraction) -> int:
-    """The sign (-1, 0 or 1) of f(x), from v^d f(u/v) in integers for
-    x = u/v with v > 0."""
-    u, v = x.numerator, x.denominator
+def _sign(f: IntPoly, u: int, v: int) -> int:
+    """The sign (-1, 0 or 1) of f(u/v) for v > 0, from v^d f(u/v) in
+    integers."""
     acc, scale = 0, 1
     for c in reversed(f.coeffs):
         acc = acc * u + c * scale
@@ -122,12 +125,15 @@ def sign_variations(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
+def _signs(chain: list[IntPoly], u: int, v: int) -> list[int]:
+    return [_sign(c, u, v) for c in chain]
+
+
 def count_roots_between(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
     """Distinct real roots of the chain's polynomial in (a, b); requires
     that neither endpoint is a root."""
-    va = sign_variations([_sign(c, a) for c in chain])
-    vb = sign_variations([_sign(c, b) for c in chain])
-    return va - vb
+    return (sign_variations(_signs(chain, a.numerator, a.denominator))
+            - sign_variations(_signs(chain, b.numerator, b.denominator)))
 
 
 def cauchy_bound(f: IntPoly) -> int:
@@ -193,44 +199,66 @@ class RootReport:
         }
 
 
-def _isolate(chain: list[IntPoly], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals, in ascending order, for the roots inside
-    (lo, hi) of the square-free polynomial f = chain[0]; both endpoints
-    must be non-roots."""
-    k = count_roots_between(chain, lo, hi)
+def _isolate(chain: list[IntPoly], lo: int, hi: int, e: int, vlo: int, vhi: int,
+             out: list[tuple[int, int, int]]) -> None:
+    """Append to out, in ascending order, isolating intervals (a, b, e')
+    for the roots inside (lo/2^e, hi/2^e) of the square-free polynomial
+    chain[0]: the root lies in (a/2^e', b/2^e'), or is a/2^e' when a == b.
+    Both endpoints must be non-roots; vlo and vhi are the chain's sign
+    variations there."""
+    k = vlo - vhi
     if k == 0:
-        return []
+        return
     if k == 1:
-        return [(lo, hi)]
-    f = chain[0]
-    mid = (lo + hi) / 2
-    if _sign(f, mid) == 0:
-        # Exact root at the midpoint: fence it off with a shrinking collar.
-        w = (hi - lo) / 4
-        while True:
-            a, b = mid - w, mid + w
-            if _sign(f, a) and _sign(f, b) and count_roots_between(chain, a, b) == 1:
-                break
-            w /= 2
-        return _isolate(chain, lo, a) + [(mid, mid)] + _isolate(chain, b, hi)
-    return _isolate(chain, lo, mid) + _isolate(chain, mid, hi)
+        out.append((lo, hi, e))
+        return
+    lo, hi, e = lo << 1, hi << 1, e + 1
+    mid = (lo + hi) >> 1
+    signs = _signs(chain, mid, 1 << e)
+    if signs[0]:
+        vmid = sign_variations(signs)
+        _isolate(chain, lo, mid, e, vlo, vmid, out)
+        _isolate(chain, mid, hi, e, vmid, vhi, out)
+        return
+    # Exact root at the midpoint: fence it off with a collar mid ± w, where
+    # w starts at a quarter of the interval and halves until both ends are
+    # non-roots with only the midpoint's root between them.  w = d/2^e for
+    # the interval's numerator width d, once e is raised by two, and each
+    # halving raises e by one more.
+    d = hi - lo
+    lo, hi, mid, e = lo << 2, hi << 2, mid << 2, e + 2
+    while True:
+        signs = _signs(chain, mid - d, 1 << e)
+        if signs[0]:
+            va = sign_variations(signs)
+            signs = _signs(chain, mid + d, 1 << e)
+            if signs[0]:
+                vb = sign_variations(signs)
+                if va - vb == 1:
+                    break
+        lo, hi, mid, e = lo << 1, hi << 1, mid << 1, e + 1
+    _isolate(chain, lo, mid - d, e, vlo, va, out)
+    out.append((mid, mid, e))
+    _isolate(chain, mid + d, hi, e, vb, vhi, out)
 
 
-def _refine(f: IntPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a one-root sign-changing interval below the requested width."""
+def _refine(f: IntPoly, lo: int, hi: int, e: int, width: Fraction) -> tuple[int, int, int]:
+    """Shrink a one-root sign-changing interval (lo/2^e, hi/2^e) to width
+    at most width, as (lo', hi', e')."""
     if lo == hi:
-        return lo, hi
-    slo = _sign(f, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        smid = _sign(f, mid)
+        return lo, hi, e
+    slo = _sign(f, lo, 1 << e)
+    while (hi - lo) * width.denominator > width.numerator << e:
+        lo, hi, e = lo << 1, hi << 1, e + 1
+        mid = (lo + hi) >> 1
+        smid = _sign(f, mid, 1 << e)
         if smid == 0:
-            return mid, mid
+            return mid, mid, e
         if smid != slo:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return lo, hi, e
 
 
 def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
@@ -256,14 +284,20 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
         # The square-free kernel; primitive with a positive lead by Gauss's lemma.
         g = math.prod((part for part, _ in parts), start=IntPoly.from_coeffs([1]))
         chain = sturm_chain(g)
-        bound = Fraction(cauchy_bound(f))
+        bound = cauchy_bound(f)
+        vneg, vzero, vpos = (sign_variations(_signs(chain, x, 1)) for x in (-bound, 0, bound))
         # 0 is not a root of f here, so split there: intervals never straddle 0.
-        for lo, hi in _isolate(chain, -bound, Fraction(0)) + _isolate(chain, Fraction(0), bound):
-            lo, hi = _refine(g, lo, hi, width)
+        found: list[tuple[int, int, int]] = []
+        _isolate(chain, -bound, 0, 0, vneg, vzero, found)
+        _isolate(chain, 0, bound, 0, vzero, vpos, found)
+        width = Fraction(width)
+        for lo, hi, e in found:
+            lo, hi, e = _refine(g, lo, hi, e, width)
+            den = 1 << e
             # The one root in [lo, hi] is a simple root of exactly one part:
             # the part that vanishes at lo == hi or changes sign across (lo, hi).
-            mult = next(m for part, m in parts if _sign(part, lo) * _sign(part, hi) <= 0)
-            roots.append(RootInterval(lo, hi, mult))
+            mult = next(m for part, m in parts if _sign(part, lo, den) * _sign(part, hi, den) <= 0)
+            roots.append(RootInterval(Fraction(lo, den), Fraction(hi, den), mult))
 
     roots.sort(key=lambda r: (r.lo, r.hi))
     # No interval straddles 0, so a root is positive exactly when hi > 0.

@@ -4,8 +4,19 @@ They answer the library's questions by the definitions alone, so a test
 can compare the library's fast algorithms with something independent.
 """
 import itertools
+import math
+from fractions import Fraction
 
 from revstack.perms import descents, revstack_sort_sim, stack_sort_sim
+from revstack.polynomials import IntPoly
+from revstack.roots import (
+    RootInterval,
+    RootReport,
+    cauchy_bound,
+    sign_variations,
+    square_free_parts,
+    sturm_chain,
+)
 from revstack.zigzag import Zigzag, _interrupted
 
 
@@ -42,3 +53,76 @@ def scan_degree(word, uninterrupted=False):
     there is none."""
     return max((k for k in range(len(word)) if scan_zigzag(word, k, uninterrupted)),
                default=-1)
+
+
+def _fraction_sign(f, x):
+    value = f(x)
+    return (value > 0) - (value < 0)
+
+
+def _fraction_count(chain, a, b):
+    return (sign_variations([_fraction_sign(c, a) for c in chain])
+            - sign_variations([_fraction_sign(c, b) for c in chain]))
+
+
+def _fraction_isolate(chain, lo, hi):
+    """Isolating intervals for the roots of chain[0] inside (lo, hi) by
+    bisection on Fraction endpoints, counting at both ends of every node."""
+    k = _fraction_count(chain, lo, hi)
+    if k == 0:
+        return []
+    if k == 1:
+        return [(lo, hi)]
+    f = chain[0]
+    mid = (lo + hi) / 2
+    if _fraction_sign(f, mid) == 0:
+        # Exact root at the midpoint: fence it off with a shrinking collar.
+        w = (hi - lo) / 4
+        while True:
+            a, b = mid - w, mid + w
+            if (_fraction_sign(f, a) and _fraction_sign(f, b)
+                    and _fraction_count(chain, a, b) == 1):
+                break
+            w /= 2
+        return _fraction_isolate(chain, lo, a) + [(mid, mid)] + _fraction_isolate(chain, b, hi)
+    return _fraction_isolate(chain, lo, mid) + _fraction_isolate(chain, mid, hi)
+
+
+def _fraction_refine(f, lo, hi, width):
+    if lo == hi:
+        return lo, hi
+    slo = _fraction_sign(f, lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        smid = _fraction_sign(f, mid)
+        if smid == 0:
+            return mid, mid
+        if smid != slo:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def fraction_real_roots(p, width):
+    """roots.real_roots by bisection on Fraction endpoints with exact
+    Fraction values of the polynomials: the same points visited and the
+    same RootReport, by a route that shares no sign evaluation or
+    bisection code with the library."""
+    zero_mult = next(i for i, c in enumerate(p.coeffs) if c)
+    f = IntPoly(p.coeffs[zero_mult:])
+    roots = [RootInterval(Fraction(0), Fraction(0), zero_mult)] if zero_mult else []
+    if f.degree > 0:
+        parts = square_free_parts(f)
+        g = math.prod((part for part, _ in parts), start=IntPoly.from_coeffs([1]))
+        chain = sturm_chain(g)
+        bound = Fraction(cauchy_bound(f))
+        zero = Fraction(0)
+        for lo, hi in _fraction_isolate(chain, -bound, zero) + _fraction_isolate(chain, zero, bound):
+            lo, hi = _fraction_refine(g, lo, hi, width)
+            mult = next(m for part, m in parts
+                        if _fraction_sign(part, lo) * _fraction_sign(part, hi) <= 0)
+            roots.append(RootInterval(lo, hi, mult))
+    roots.sort(key=lambda r: (r.lo, r.hi))
+    return RootReport(all_real=sum(r.multiplicity for r in roots) == p.degree,
+                      nonpositive=all(r.hi <= 0 for r in roots), roots=tuple(roots))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -7,6 +8,8 @@ import pytest
 from revstack import enumeration
 from revstack.cli import main
 from revstack.perms import parse_permutation
+from revstack.polynomials import IntPoly
+from revstack.roots import real_roots
 
 
 def run(capsys, *argv):
@@ -326,6 +329,12 @@ ROOTS_N8_T3_JSON = """\
 """
 
 
+# SHA-256 of the JSON list of real_roots(row).to_json(), keys sorted, over
+# the packaged appendix rows in file order: every interval endpoint of
+# every packaged row, pinned.
+PACKAGED_ROOTS_SHA256 = "d2d02508895ac53024a0c7f4aea6a218d5ffbb4b96de13f9e5f97743e3707523"
+
+
 class TestRoots:
     def test_coeffs(self, capsys):
         status, out = run(capsys, "roots", "--coeffs", "0 1 4 1")
@@ -350,6 +359,15 @@ class TestRoots:
         )
         assert status == 0
         assert out == ROOTS_N8_T3_JSON
+
+    def test_packaged_row_reports_are_pinned(self):
+        entries = enumeration.load_reference_tables()
+        blob = json.dumps(
+            [real_roots(IntPoly.from_coeffs(e["coeffs"])).to_json() for e in entries],
+            sort_keys=True,
+        )
+        assert len(entries) == 55
+        assert hashlib.sha256(blob.encode()).hexdigest() == PACKAGED_ROOTS_SHA256
 
     def test_missing_arguments(self, capsys):
         for argv in (

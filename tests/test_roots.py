@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_real_roots
 from revstack.polynomials import IntPoly
 from revstack.roots import (
     InterlacingReport,
@@ -188,21 +189,59 @@ class TestInterlacing:
 class TestSign:
     @given(
         st.lists(st.integers(-50, 50), max_size=8),
-        st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40)),
+        st.one_of(
+            st.tuples(st.integers(-60, 60), st.integers(1, 40)),
+            # Dyadic points u/2^e with u unreduced, as the bisection passes them.
+            st.tuples(st.integers(-10**6, 10**6), st.integers(0, 40).map(lambda e: 1 << e)),
+        ),
         st.booleans(),
     )
-    @example([], Fraction(3, 2), False)
-    @example([1, 2, 1], Fraction(-1), True)
+    @example([], (3, 2), False)
+    @example([1, 2, 1], (-1, 1), True)
+    @example([1, 2, 1], (-4, 4), True)
     @settings(deadline=None, max_examples=200)
-    def test_sign_is_the_sign_of_the_value(self, coeffs, x, through_x):
+    def test_sign_is_the_sign_of_the_value(self, coeffs, point, through_x):
+        u, v = point
+        x = Fraction(u, v)
         f = IntPoly.from_coeffs(coeffs)
         if through_x:
             # A factor v X - u makes x = u/v an exact root.
             f = f * IntPoly.from_coeffs([-x.numerator, x.denominator])
         value = f(x)
-        assert _sign(f, x) == (value > 0) - (value < 0)
+        assert _sign(f, u, v) == (value > 0) - (value < 0)
         if through_x:
-            assert _sign(f, x) == 0
+            assert _sign(f, u, v) == 0
+
+
+class TestBisectionOracle:
+    """real_roots against the bisection on Fraction endpoints in
+    tests/oracles.py: the same report, every endpoint included."""
+
+    @given(
+        st.dictionaries(
+            st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 5, 7])),
+            st.integers(1, 3), min_size=1, max_size=5,
+        ),
+        st.sampled_from([None, 1, 2, 5]),
+        st.sampled_from([Fraction(1, 10**7), Fraction(1, 1000), Fraction(1, 3)]),
+    )
+    # (x + 3)(x + 1) has Cauchy bound 6: bisecting (-6, 0) lands on the root
+    # -3, and the first collar, (-9/2, -3/2), holds it alone.
+    @example({Fraction(-3): 1, Fraction(-1): 1}, None, Fraction(1, 3))
+    # (x + 3)(x + 2) has Cauchy bound 8: bisecting (-4, 0) lands on the root
+    # -2; the first collar ends on -3, so it shrinks once.
+    @example({Fraction(-3): 1, Fraction(-2): 1}, None, Fraction(1, 3))
+    # Cauchy bound 28: bisection lands on -7/2, and its collar shrinks twice
+    # before it holds that root alone.
+    @example({Fraction(-7, 2): 1, Fraction(-3): 1, Fraction(-5, 2): 1}, None, Fraction(1, 10**7))
+    # The same collar around a double root, shrunk once to shed -2.
+    @example({Fraction(-7, 2): 2, Fraction(-2): 1}, None, Fraction(1, 1000))
+    @settings(deadline=None, max_examples=60)
+    def test_report_matches_fraction_bisection(self, mults, quad, width):
+        p = poly_from_roots([r for r, m in mults.items() for _ in range(m)])
+        if quad is not None:
+            p = p * IntPoly.from_coeffs([quad, 0, 1])
+        assert real_roots(p, width) == fraction_real_roots(p, width)
 
 
 class TestKnownRootOracle:
