@@ -12,8 +12,9 @@ import argparse
 import functools
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from revstack.enumeration import (
     classify_degree_nm2,

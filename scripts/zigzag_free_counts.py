@@ -14,8 +14,9 @@ Python 3.11, --max-n 8 took 1.6 s with --jobs 1 and 0.8 s with --jobs 2,
 """
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from revstack.enumeration import zigzag_free_table
 

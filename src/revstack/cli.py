@@ -342,6 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", None) is not None and args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -599,7 +599,7 @@ def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
     checks.extend(_check_table_structure(n, rev, st))
     checks.extend(_check_closed_forms(n, rev, st))
     if n >= 3:
-        rep = check_interlacing(n)
+        rep = check_interlacing(rev.row(n - 2), w_revstack_nm2(n + 1))
         checks.append(CheckResult(
             "degree-(n-2) root interlacing", rep.ok, rep.detail if not rep.ok else ""
         ))

@@ -77,6 +77,8 @@ def parse_pattern(text: str) -> PatternSpec:
     """
     text = text.strip()
     parts = text.split()
+    if not parts:
+        raise ValueError("empty pattern")
     if len(parts) == 1 and (len(parts[0]) > 1 or parts[0].endswith("!")):
         token = parts[0]
         parts = []

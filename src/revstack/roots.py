@@ -25,7 +25,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import IntPoly, narayana_poly, w_revstack_nm2
+from .polynomials import IntPoly
 
 DEFAULT_WIDTH = Fraction(1, 10**7)
 
@@ -127,13 +127,6 @@ def sign_variations(signs: Sequence[int]) -> int:
 
 def _signs(chain: list[IntPoly], u: int, v: int) -> list[int]:
     return [_sign(c, u, v) for c in chain]
-
-
-def count_roots_between(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of the chain's polynomial in (a, b); requires
-    that neither endpoint is a root."""
-    return (sign_variations(_signs(chain, a.numerator, a.denominator))
-            - sign_variations(_signs(chain, b.numerator, b.denominator)))
 
 
 def cauchy_bound(f: IntPoly) -> int:
@@ -308,95 +301,51 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
 @dataclass(frozen=True)
 class InterlacingReport:
     ok: bool
-    n: int
     detail: str = ""
 
 
-def _w_nm2_any(n: int) -> IntPoly:
-    """Descent polynomial of the (n-2)-revstack-sortable set for any n >= 2:
-    the closed form for n >= 4; for n = 3 that set is the 132-avoiders;
-    for n = 2 it is just the identity permutation."""
-    if n >= 4:
-        return w_revstack_nm2(n)
-    if n == 3:
-        return narayana_poly(3)
-    if n == 2:
-        return IntPoly.from_coeffs([0, 1])
-    raise ValueError("n must be at least 2")
-
-
-def interlacing_pair_report(p: IntPoly, q: IntPoly, n: int) -> InterlacingReport:
+def check_interlacing(p: IntPoly, q: IntPoly) -> InterlacingReport:
     """Check that p and q both have all-real, simple, nonpositive roots
     including 0, that q has exactly one more negative root than p, and
     that ascending from the most negative root the owners strictly
-    alternate q, p, q, ..., q.
+    alternate q, p, q, ..., q.  A p with no negative root and a q with at
+    most one have nothing to interlace, and pass.
 
     For the last check, P = p/x and Q = q/x then have simple negative
     roots, and they interlace exactly when gcd(P, Q) = 1 and the Wronskian
     W = P Q' - P' Q has no real root: Q/P is then strictly monotone between
     consecutive roots of P, so Q has one root in each of the deg P + 1 gaps.
+
+    >>> check_interlacing(IntPoly.from_coeffs([0, 1, 3, 1]),
+    ...                   IntPoly.from_coeffs([0, 1, 10, 10, 1])).ok
+    True
     """
     for label, poly in (("first", p), ("second", q)):
         rep = real_roots(poly)
         if not rep.all_real:
-            return InterlacingReport(False, n, f"{label} polynomial has non-real roots")
+            return InterlacingReport(False, f"{label} polynomial has non-real roots")
         if any(r.multiplicity != 1 for r in rep.roots):
-            return InterlacingReport(False, n, f"{label} polynomial has a repeated root")
+            return InterlacingReport(False, f"{label} polynomial has a repeated root")
         if not rep.nonpositive:
-            return InterlacingReport(False, n, f"{label} polynomial has a positive root")
+            return InterlacingReport(False, f"{label} polynomial has a positive root")
         if not any(r.exact and r.lo == 0 for r in rep.roots):
-            return InterlacingReport(False, n, f"{label} polynomial lacks the root 0")
+            return InterlacingReport(False, f"{label} polynomial lacks the root 0")
 
     # Every root is real, simple and nonpositive, and 0 is one of them.
     pneg, qneg = p.degree - 1, q.degree - 1
     if pneg == 0 and qneg <= 1:
-        return InterlacingReport(True, n, "degenerate: no interior roots to interlace")
+        return InterlacingReport(True, "degenerate: no interior roots to interlace")
     if qneg != pneg + 1:
         return InterlacingReport(
-            False, n,
-            f"expected {pneg + 1} negative roots in the second polynomial, got {qneg}",
+            False, f"expected {pneg + 1} negative roots in the second polynomial, got {qneg}"
         )
 
     P, Q = IntPoly(p.coeffs[1:]), IntPoly(q.coeffs[1:])
     if poly_gcd(P, Q).degree > 0:
-        return InterlacingReport(False, n, "could not separate a root pair (common root?)")
+        return InterlacingReport(False, "could not separate a root pair (common root?)")
+    # deg Q = deg P + 1 >= 2, so W has degree 2 deg P and lead lc(P) lc(Q).
     W = P * poly_derivative(Q) - poly_derivative(P) * Q
-    bound = Fraction(cauchy_bound(W))
-    if count_roots_between(sturm_chain(W), -bound, bound):
-        return InterlacingReport(False, n, "ordering violated")
-    return InterlacingReport(True, n)
-
-
-def check_interlacing(n: int) -> InterlacingReport:
-    """Verify that the degree-(n-2) descent polynomials at sizes n and n+1
-    have all-real, distinct, nonpositive roots that strictly interlace:
-    ascending from the most negative root the owners alternate
-    (n+1), n, (n+1), n, ..., (n+1), with the shared simple root 0 last.
-
-    n = 2 is degenerate (the smaller polynomial is plain x, with no
-    negative roots) and only the realness/distinctness side is checked.
-    """
-    if n < 2:
-        raise ValueError("interlacing check requires n >= 2")
-    p = _w_nm2_any(n)
-    q = _w_nm2_any(n + 1)
-    if n == 2:
-        # p = x has no negative roots, so there is nothing to interlace;
-        # require only that both root sets are real, simple and nonpositive.
-        for poly in (p, q):
-            rep = real_roots(poly)
-            if not (rep.all_real and rep.nonpositive) or any(
-                r.multiplicity != 1 for r in rep.roots
-            ):
-                return InterlacingReport(False, n, "degenerate case failed root checks")
-        return InterlacingReport(True, n, "degenerate case: no negative roots at size 2")
-    report = interlacing_pair_report(p, q, n)
-    if not report.ok:
-        return report
-    # The generic checker accepted, so every root is real and simple and
-    # the root counts are the degrees; pin them too.
-    expected = (n - 1) + 1 + n + 1
-    got = p.degree + q.degree
-    if got != expected:
-        return InterlacingReport(False, n, f"expected {expected} roots total, found {got}")
-    return report
+    chain, bound = sturm_chain(W), cauchy_bound(W)
+    if sign_variations(_signs(chain, -bound, 1)) != sign_variations(_signs(chain, bound, 1)):
+        return InterlacingReport(False, "ordering violated")
+    return InterlacingReport(True)

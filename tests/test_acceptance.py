@@ -224,8 +224,13 @@ def test_criterion_8_table_structure(get_table):
             if n >= 2:
                 assert v[1] == w[1], (n, t)
                 assert v[n - 2] == w[n - 2], (n, t)
+    # The degree-(n-2) family: the closed form for n >= 4, and for n = 3
+    # the 132-avoiders, counted by Narayana.
+    def w(n):
+        return narayana_poly(3) if n == 3 else w_revstack_nm2(n)
+
     for n in range(3, 10):
-        report = check_interlacing(n)
+        report = check_interlacing(w(n), w(n + 1))
         assert report.ok, (n, report.detail)
     verdict("8 (descent-table structure, n <= 9; interlacing 3 <= n <= 9): PASS")
 

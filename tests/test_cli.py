@@ -253,6 +253,47 @@ class TestVerify:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
 
+    def test_theorems_output_is_byte_stable(self, capsys):
+        status, out = run(capsys, "verify", "--suite", "theorems", "--n", "7")
+        assert (status, out) == (0, THEOREMS_N7)
+        names = [line.removeprefix("PASS ") for line in THEOREMS_N7.splitlines()[:-1]]
+        blob = {"n": 7, "ok": True, "checks": [{"name": name, "ok": True} for name in names]}
+        status, out = run(capsys, "verify", "--suite", "theorems", "--n", "7", "--format", "json")
+        assert (status, out) == (0, json.dumps(blob, indent=1) + "\n")
+
+
+# stdout of `verify --suite theorems --n 7`, pinned byte for byte; the
+# json form lists the same checks in the same order.
+THEOREMS_N7 = """\
+PASS operator identities (recursion = simulation, T = S o rev)
+PASS degree bounds and iteration
+PASS precedence lemmas / inversion characterisation
+PASS one-pass sortable iff 132-avoiding
+PASS two-pass sortable iff avoids 2431 and barred 241(5)3
+PASS two-pass stack-sortable iff avoids 2341 and barred 3(5)241
+PASS every 132 in T(w) is witnessed in w
+PASS zigzag bracketing
+PASS tree traversal identities
+PASS duality involution and conjugates
+PASS descent-raising injection
+PASS two-pass descent equidistribution
+PASS table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1
+PASS table rows unimodal
+PASS table rows log-concave
+PASS edge columns match the stack table
+PASS t-sortable sets nest
+PASS last row is the Eulerian polynomial
+PASS one-pass row is the Narayana polynomial
+PASS two-pass rows agree between sorters
+PASS degree-(n-2) closed form
+PASS degree-(n-3) closed form
+PASS degree-(n-3) case-total form
+PASS counting formulas
+PASS counting inequalities (exact rationals)
+PASS degree-(n-2) root interlacing
+VERIFIED
+"""
+
 
 # stdout of `roots --n 8 --t 3 --format json`: the exact interval
 # endpoints of one descent polynomial, pinned byte for byte.
@@ -458,3 +499,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("pattern", ["", "   "])
+    def test_empty_pattern(self, capsys, pattern):
+        status = main(["pattern", "--pattern", pattern, "21"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: empty pattern\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--n", "3", "--no-cache"],
+        ["verify", "--suite", "theorems", "--n", "3"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, capsys, argv, jobs):
+        status = main([*argv, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be at least 1 (got {jobs})\n"

@@ -6,16 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fraction_real_roots
-from revstack.polynomials import IntPoly
+from revstack.polynomials import IntPoly, narayana_poly, w_revstack_nm2
 from revstack.roots import (
     InterlacingReport,
     _sign,
     check_interlacing,
-    count_roots_between,
     format_decimal,
-    interlacing_pair_report,
     real_roots,
-    sturm_chain,
 )
 
 
@@ -132,58 +129,54 @@ class TestSturmAdditivity:
         nprod = len(real_roots(p * q).roots)
         assert nprod == na + nb
 
-    def test_count_roots_between(self):
-        chain = sturm_chain(IntPoly.from_coeffs([0, 1, 4, 1]))  # x^3 + 4x^2 + x
-        assert count_roots_between(chain, Fraction(-100), Fraction(100)) == 3
-        assert count_roots_between(chain, Fraction(-1), Fraction(100)) == 2
-        assert count_roots_between(chain, Fraction(1), Fraction(100)) == 0
+
+def w_nm2(n):
+    """Descent polynomial of the (n-2)-revstack-sortable permutations of
+    S_n: the closed form for n >= 4, and for n = 3 the 132-avoiders."""
+    return narayana_poly(3) if n == 3 else w_revstack_nm2(n)
 
 
 class TestInterlacing:
     def test_reference_range(self):
-        for n in range(2, 10):
-            report = check_interlacing(n)
+        for n in range(3, 10):
+            report = check_interlacing(w_nm2(n), w_nm2(n + 1))
             assert report.ok, (n, report.detail)
 
     def test_reports_are_typed(self):
-        assert isinstance(check_interlacing(4), InterlacingReport)
-
-    def test_rejects_small(self):
-        with pytest.raises(ValueError):
-            check_interlacing(1)
+        assert isinstance(check_interlacing(w_nm2(4), w_nm2(5)), InterlacingReport)
 
     def test_failure_non_real(self):
         p = IntPoly.from_coeffs([0, 1, 0, 1])  # x(x^2+1)
         q = poly_from_roots([0, -1, -3])
-        report = interlacing_pair_report(p, q, 0)
+        report = check_interlacing(p, q)
         assert not report.ok
         assert "non-real" in report.detail
 
     def test_failure_wrong_ordering(self):
         p = poly_from_roots([0, -1, -3])
         q = poly_from_roots([0, -2, -4, -6])
-        report = interlacing_pair_report(p, q, 0)
+        report = check_interlacing(p, q)
         assert not report.ok
         assert "ordering violated" in report.detail
 
     def test_failure_shared_root(self):
         p = poly_from_roots([0, -1, -2])
         q = poly_from_roots([0, -1, -3, -5])
-        report = interlacing_pair_report(p, q, 0)
+        report = check_interlacing(p, q)
         assert not report.ok
         assert "separate" in report.detail
 
     def test_failure_wrong_count(self):
         p = poly_from_roots([0, -1])
         q = poly_from_roots([0, -2, -3, -4])
-        report = interlacing_pair_report(p, q, 0)
+        report = check_interlacing(p, q)
         assert not report.ok
         assert "expected" in report.detail
 
     def test_good_pair(self):
         p = poly_from_roots([0, -2, -4])
         q = poly_from_roots([0, -1, -3, -5])
-        assert interlacing_pair_report(p, q, 0).ok
+        assert check_interlacing(p, q).ok
 
 
 class TestSign:
@@ -303,4 +296,4 @@ class TestKnownRootOracle:
         )
         p = poly_from_roots(sorted(proots) + [0])
         q = poly_from_roots(sorted(qroots) + [0])
-        assert interlacing_pair_report(p, q, 0).ok == expected
+        assert check_interlacing(p, q).ok == expected

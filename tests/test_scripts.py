@@ -8,7 +8,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_zigzag_free_counts_script():
-    # the script puts ./src on sys.path, so it runs from the repository root
     proc = subprocess.run(
         [sys.executable, "scripts/zigzag_free_counts.py", "--max-n", "5", "--jobs", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
@@ -27,6 +26,21 @@ def test_zigzag_free_counts_script_jobs_agree():
         for jobs in ("1", "2")
     ]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["zigzag_free_counts.py", "--max-n", "2"],
+    # --help exits after the imports, which are what depend on the directory
+    ["verify_all.py", "--help"],
+])
+def test_scripts_run_from_any_directory(tmp_path, argv):
+    script, *args = argv
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 @pytest.mark.extended
