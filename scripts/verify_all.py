@@ -2,9 +2,9 @@
 """Run the complete verification battery and print one line per result.
 
 Covers the exhaustive theorem suites, the sorting-count comparison, the
-degree-(n-2) classification, and the reference-table reproduction.  The
-last three share one memoised table(n, sorter) source, so each descent
-table they read is enumerated once.  The --full flag re-enumerates the
+degree-(n-2) classification, and the reference-table reproduction.  All
+four share one memoised table(n, sorter) source, so each descent table
+they read is enumerated once.  The --full flag re-enumerates the
 n = 9, 10 reference coefficients too (about a minute of extra
 single-core work).
 """
@@ -39,7 +39,7 @@ def main() -> int:
     table = functools.lru_cache(maxsize=None)(functools.partial(descent_table, jobs=args.jobs))
 
     for n in range(1, args.max_n + 1):
-        report = verify_theorems(n, jobs=args.jobs)
+        report = verify_theorems(n, args.jobs, table)
         for check in report.checks:
             if not check.ok:
                 failures += 1

@@ -172,7 +172,7 @@ def _cmd_verify(args) -> int:
             print("VERIFIED" if report.ok else "FAILED")
         return 0 if report.ok else 1
     if args.suite == "theorems":
-        report = enumeration.verify_theorems(args.n, args.jobs)
+        report = enumeration.verify_theorems(args.n, args.jobs, table)
         if args.format == "json":
             _print_json(report.to_json())
         else:
@@ -229,6 +229,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_appendix(args) -> int:
+    if args.max_n < 0:
+        raise ValueError(f"--max-n must be non-negative (got {args.max_n})")
     entries = enumeration.load_reference_tables(args.golden) if args.golden else None
     report = enumeration.reproduce_appendix(
         enumerate_max_n=args.max_n,

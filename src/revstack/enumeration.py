@@ -10,17 +10,20 @@ handed to each worker once.  The theorem suite and the zigzag counts
 shard by first element; the theorem pass computes T(w), S(w), the
 descent count and both degrees once per permutation and feeds them to
 every per-permutation check, and each check reports the
-lexicographically least permutation it fails on.  The suite's table
-checks read both descent tables from descent_table.  Descent tables and
+lexicographically least permutation it fails on.  Descent tables and
 the degree arrays shard by the position of n and make no sorting pass
-over S_n (their kernels are in split).  Hard cap n <= 13,
-the largest size timed (3 to 4 minutes per sorter on two cores, with
-about 2 GB resident in the parent and its largest worker together).
+over S_n (their kernels are in split): a table shard works on sorted
+patterns, and an array shard writes one block of degrees per left side
+L of w = L n R, from one row per split of the values and sorted pattern
+of L.  Hard cap
+n <= 13, the largest size timed (about 1.5 minutes per sorter on two
+cores, with about 2 GB resident in the parent and its largest worker
+together).
 
-verify_steingrimsson, classify_degree_nm2 and reproduce_appendix read
-descent tables only through a table(n, sorter) callable (default
-descent_table); one memoised callable shared between them sweeps each
-(n, sorter) table once.
+verify_theorems, verify_steingrimsson, classify_degree_nm2 and
+reproduce_appendix read descent tables only through a table(n, sorter)
+callable (default descent_table); one memoised callable shared between
+them sweeps each (n, sorter) table once.
 """
 from __future__ import annotations
 
@@ -563,11 +566,17 @@ def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[Che
     return out
 
 
-def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
+def verify_theorems(
+    n: int,
+    jobs: Optional[int] = None,
+    table: Callable[[int, str], DescentTable] = descent_table,
+) -> SuiteReport:
     """Run every exhaustive property check at size n in one pass over S_n,
     sharded over jobs workers (_check_shard).  The shards merge in order,
     so each check reports its least counterexample for any jobs.  The
-    table checks read descent_table, the tables users see."""
+    table checks read both descent tables through table(n, sorter)
+    (default descent_table, the tables users see, swept with its own
+    default worker count)."""
     _check_n(n)
     arrays = (_degree_array(n - 1, "revstack", jobs), _degree_array(n - 1, "stack", jobs))
     bads, pair_lists, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays))
@@ -586,7 +595,7 @@ def verify_theorems(n: int, jobs: Optional[int] = None) -> SuiteReport:
             first_bad.setdefault(name, counterexample)
     names = [name for name, _ in _PERMUTATION_CHECKS] + [_INJECTION_CHECK]
     checks = [CheckResult(name, name not in first_bad, first_bad.get(name, "")) for name in names]
-    rev, st = descent_table(n, "revstack", jobs), descent_table(n, "stack", jobs)
+    rev, st = table(n, "revstack"), table(n, "stack")
     # The descent statistic agrees on the sets sorted by two straight
     # stack passes and by stack/reverse/stack.
     two_stack = st.descent_counts(min(2, n - 1))

@@ -8,16 +8,17 @@ here run as shards of enumeration._sweep, one per position of n:
 _split_shard counts descent tables from the sorted patterns of each side
 (_patterns), and _array_shard writes the degree array of S_n in blocks,
 which _interleave merges into rank order.  Neither makes a sorting pass
-over S_n.  The array shards sort each side's permutations once; the
-table shards sort nothing, since _patterns builds the sorted patterns of
-S_a and their descent polynomials from those of smaller sides by the
-same split.
+over S_n, and neither sorts in a shard: _patterns builds the sorted
+patterns of S_a and their descent polynomials from those of smaller
+sides by the same split, and the array shards read which pattern each
+side has from _images, which sorts each S_a once per sorter and process.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from array import array
 from typing import Iterator
 
 from .perms import Word, revstack_sort_sim, stack_sort_sim
@@ -56,6 +57,15 @@ def _offsets(x: Word, weights: list[int]) -> tuple[int, tuple[int, ...]]:
     return base, tuple(itertools.accumulate(reversed(by_value)))[::-1]
 
 
+def _head_offsets(x: Word, a: int, weights: list[int]) -> list[int]:
+    """rank(h t) - rank(std t) (_offsets) for h of pattern x and a tail t
+    of a values, for each set of values of t in lex order: the counts s_u
+    of h's values below each u run through combinations_with_replacement
+    of 0..len(x) in that order."""
+    base, above = _offsets(x, weights)
+    return list(map(base.__add__, map(sum, itertools.combinations_with_replacement(above, a))))
+
+
 _PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 _AT_LEAST_ONE = b"\x01" + bytes(range(1, 256))
 
@@ -65,57 +75,100 @@ def _array_shard(m: int, i: int, prev: bytes, sorter: str) -> bytes:
     L, then R, lexicographically (the order of their ranks); prev is the
     sorter's degree array of S_(m-1).
 
-    The place of w is _offsets of L's pattern, weighed as the head of the
-    word L R of length m - 1, plus the rank of R's pattern, and its degree
-    is 1 + prev at the rank of X(w)[:-1] (see _split_shard), so each L
-    writes one block of the |R|! bytes of its w: one lookup per
-    permutation.  The patterns of either side are taken in batches of
-    _BATCH, which bounds the memory.  The ends are prev itself,
+    Each L writes one block of the |R|! bytes of its w, at |R|! times the
+    lex rank of L among the arrangements of k of the values 1..m-1
+    (_placements).  The degree is 1 + prev at the rank of X(w)[:-1] (see
+    _split_shard), which depends only on the value split and on the
+    sorted patterns U = X(L) and V = X(R).  So the first pattern p of L
+    (in lex order) with a given U makes, per split, one row of 1 + prev
+    over the V of _patterns and turns it into its block with one
+    translate of R's images (_images), or a map when R has more than 256
+    patterns; every later p with that U writes the same blocks at its own
+    places.  No side is sorted here.  The ends are prev itself,
     deg(L m) = deg(L), and deg(m R) = max(deg R, 1)."""
     k = i - 1
     if k in (0, m - 1):
         return prev.translate(_AT_LEAST_ONE) if k == 0 else prev
-    revstack = sorter == "revstack"
-    sort = revstack_sort_sim if revstack else stack_sort_sim
-    weights = [math.factorial(m - 2 - j) for j in range(m - 2)]
-
-    def left(p: Word) -> tuple:  # where L goes, and what X makes of it
-        x = sort(p)
-        return (*_offsets(p, weights), _rank(x) if revstack else _offsets(x, weights))
-
-    def right(q: Word):  # what X makes of R
-        return _offsets(sort(q), weights) if revstack else _rank(sort(q))
-
+    r = m - 1 - k
     plus_one = prev.translate(_PLUS_ONE)
+    rid, us, vs = _images(r, sorter), list(_patterns(k)), list(_patterns(r))
+    pad = bytes(256 - len(vs)) if len(vs) <= 256 else None
+    weights = [math.factorial(m - 2 - j) for j in range(m - 2)]
+    # pairs(u) gives, split by split, (x, ys): the rank of X(w)[:-1] is
+    # x + y for the y of each V.  The splits run over the values of L in
+    # lex order, so over those of R backwards.
+    if sorter == "revstack":  # X(w)[:-1] = T(R)T(L): V leads
+        cols = list(zip(*(_head_offsets(v, k, weights) for v in vs)))
+        pairs = lambda u: zip(itertools.repeat(_rank(u)), cols)
+    else:  # S(L)S(R): U leads
+        ranks = list(map(_rank, vs))
+        pairs = lambda u: zip(_head_offsets(u, r, weights)[::-1], itertools.repeat(ranks))
+    block = math.factorial(r)
     out = bytearray(math.factorial(m - 1))
-    for lefts in _batches(map(left, itertools.permutations(range(1, k + 1)))):
-        start = 0  # the rank of the first R pattern of the batch
-        for rights in _batches(map(right, itertools.permutations(range(1, m - k)))):
-            for others in itertools.combinations(range(1, m), m - 1 - k):  # the values of R
-                below = [u - 1 - j for j, u in enumerate(others)]  # values of L below each
-                if revstack:  # X(w)[:-1] = T(R)T(L): R leads
-                    values = (v for v in range(1, m) if v not in others)
-                    mine = [v - 1 - j for j, v in enumerate(values)]  # values of R below each
-                    offs = [base + sum(map(above.__getitem__, mine)) for base, above in rights]
-                for base, above, x in lefts:
-                    pos = start + base + sum(map(above.__getitem__, below))
-                    if revstack:
-                        row = [plus_one[off + x] for off in offs]
-                    else:  # X(w)[:-1] = S(L)S(R): L leads
-                        off = x[0] + sum(map(x[1].__getitem__, below))
-                        row = [plus_one[off + rank] for rank in rights]
-                    out[pos:pos + len(row)] = bytes(row)
-            start += len(rights)
+    # a block of one or two bytes is one item of a cast view: an item
+    # write is cheaper than a slice
+    item = {1: "B", 2: "H"}.get(block)
+    seen: dict[int, array | list[bytes]] = {}  # the blocks of each U, split by split
+    cells = memoryview(out).cast(item) if item else None
+    for (firsts, rests, below), u in zip(_placements(k, r), _images(k, sorter)):
+        data = seen.get(u)
+        if data is None:
+            rows = (bytes(map(plus_one.__getitem__, map(x.__add__, ys))) for x, ys in pairs(us[u]))
+            blocks = [rid.translate(row + pad) if pad is not None
+                      else bytes(map(row.__getitem__, rid)) for row in rows]
+            data = seen[u] = array(item, b"".join(blocks)) if item else blocks
+        if item:
+            for f, s, value in zip(firsts, rests, data):
+                cells[f + below[s]] = value
+        else:
+            for f, s, value in zip(firsts, rests, data):
+                at = (f + below[s]) * block
+                out[at:at + block] = value
     return bytes(out)
 
 
-_BATCH = 1 << 8
+@functools.cache
+def _steps(h: int, a: int) -> tuple[list[list[int]], list[list[int]]]:
+    """For each c < h and each h-subset S of 1..h+a, in lex order: the
+    weight (S[c] - 1) * (h+a-1)! / a! of an arrangement of S that starts
+    with S[c], and the index, among the (h-1)-subsets of 1..h+a-1 in lex
+    order, of the rest of S, closed up over S[c]."""
+    n = h + a
+    index = {s: j for j, s in enumerate(itertools.combinations(range(1, n), h - 1))}
+    subsets = list(itertools.combinations(range(1, n + 1), h))
+    weight = math.perm(n - 1, h - 1)
+    firsts = [[(s[c] - 1) * weight for s in subsets] for c in range(h)]
+    rests = [[index[tuple(v - (v > s[c]) for v in s if v != s[c])] for s in subsets]
+             for c in range(h)]
+    return firsts, rests
 
 
-def _batches(items: Iterator) -> Iterator[list]:
-    """Consecutive lists of up to _BATCH items."""
-    while batch := list(itertools.islice(items, _BATCH)):
-        yield batch
+def _placements(h: int, a: int) -> Iterator[tuple[list[int], list[int], array]]:
+    """For each p of S_h in lex order, the lex rank of p relabelled onto
+    each h-subset of 1..h+a, in lex order, among the arrangements of h of
+    the values 1..h+a, as (firsts, rests, below): the rank on the j-th
+    subset is firsts[j] + below[rests[j]].  firsts and rests come from
+    p's first entry (_steps), and below holds the ranks of the rest of p
+    one size down, which are kept for all the patterns of S_(h-1)."""
+    if not h:
+        yield [0], [0], array("Q", [0])
+        return
+    lower = [array("Q", [f + below[s] for f, s in zip(firsts, rests)])
+             for firsts, rests, below in _placements(h - 1, a)]
+    for firsts, rests in zip(*_steps(h, a)):
+        for below in lower:
+            yield firsts, rests, below
+
+
+@functools.cache
+def _images(a: int, sorter: str) -> bytes | array:
+    """The index in _patterns(a) of X(q) for each q of S_a, in rank order:
+    bytes while there are at most 256 patterns (a <= 6), else an array of
+    unsigned ints."""
+    ids = {y: j for j, y in enumerate(_patterns(a))}
+    sort = revstack_sort_sim if sorter == "revstack" else stack_sort_sim
+    images = map(ids.__getitem__, map(sort, itertools.permutations(range(1, a + 1))))
+    return bytes(images) if len(ids) <= 256 else array("I", images)
 
 
 def _interleave(a: bytes, b: bytes, unit: int, ratio: int) -> bytes:
@@ -181,7 +234,7 @@ def _split_shard(n: int, i: int, prev: bytes, sorter: str,
 
     X(w)[:-1] is T(R)T(L) (revstack) or S(L)S(R) (stack): with head and
     tail the sides X puts first and second, its rank is a head offset
-    (_offsets) plus the rank of the tail's sorted pattern, and
+    (_head_offsets) plus the rank of the tail's sorted pattern, and
     des(w) = des(L) + des(R) + 1.  Both sides are grouped by sorted
     pattern (_patterns, whose _BITS per coefficient hold any count of
     S_n, so none carries), so a pattern pair costs one lookup and one add,
@@ -200,15 +253,10 @@ def _split_shard(n: int, i: int, prev: bytes, sorter: str,
     head, tail = (n - 1 - k, k) if sorter == "revstack" else (k, n - 1 - k)
     weights = [math.factorial(n - 2 - j) for j in range(head)]
     tails = [(_rank(x), poly) for x, poly in _patterns(tail).items()]
-    # for each set of tail values, the number of head values below each
-    belows = [[u - 1 - j for j, u in enumerate(others)]
-              for others in itertools.combinations(range(1, n), tail)]
     polys = [0] * (n - 1)  # indexed by prev, one less than the degree
     for x, head_poly in _patterns(head).items():
-        base, above = _offsets(x, weights)
         tail_polys = [0] * (n - 1)
-        for below in belows:
-            off = base + sum(map(above.__getitem__, below))
+        for off in _head_offsets(x, tail, weights):
             for rank, tail_poly in tails:
                 tail_polys[prev[off + rank]] += tail_poly
         for d, tail_poly in enumerate(tail_polys):

@@ -519,3 +519,18 @@ class TestUsageErrors:
         assert status == 2
         assert captured.out == ""
         assert captured.err == f"error: --jobs must be at least 1 (got {jobs})\n"
+
+    @pytest.mark.parametrize("max_n", ["-1", "-7"])
+    def test_negative_max_n(self, capsys, max_n):
+        status = main(["appendix", "--max-n", max_n, "--no-cache"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --max-n must be non-negative (got {max_n})\n"
+
+    def test_max_n_zero_checks_only_roots(self, capsys):
+        status = main(["appendix", "--max-n", "0", "--no-cache"])
+        captured = capsys.readouterr()
+        assert status == 0
+        assert captured.out == ("coefficients enumerated for n in []; roots checked for every"
+                                " listed entry\nVERIFIED\n")

@@ -51,7 +51,15 @@ from revstack.polynomials import (
     count_revstack_nm3,
     eulerian_poly,
 )
-from revstack.split import _BITS, _array_shard, _offsets, _patterns, _rank, _split_shard
+from revstack.split import (
+    _BITS,
+    _array_shard,
+    _images,
+    _offsets,
+    _patterns,
+    _rank,
+    _split_shard,
+)
 
 
 def catalan(n):
@@ -224,6 +232,21 @@ class TestSplitKernel:
     def test_patterns_match_the_walk_at_a9_a10(self, a, sorter):
         assert _patterns(a) == walk_patterns(a, sorter, _BITS)
 
+    @pytest.mark.parametrize("a", [*range(1, 11), pytest.param(11, marks=pytest.mark.extended)])
+    def test_fibres_are_palindromic_and_sum_to_eulerian(self, a):
+        # the descent polynomial of each fibre of S is palindromic about
+        # (a - 1) / 2 (valley hopping preserves S: Branden, 2008), and the
+        # fibres partition S_a; the array shards number the patterns by
+        # this map beyond a = 8, where the walk stops
+        mask = (1 << _BITS) - 1
+        total = [0] * a
+        for y, poly in _patterns(a).items():
+            coeffs = [(poly >> (_BITS * j)) & mask for j in range(a)]
+            assert poly >> (_BITS * a) == 0 and any(coeffs), y
+            assert coeffs == coeffs[::-1], y
+            total = [s + c for s, c in zip(total, coeffs)]
+        assert [0, *total] == list(eulerian_poly(a).coeffs)
+
     def test_packed_coefficients_hold_the_largest_count(self):
         # a table coefficient counts at most n! permutations
         assert math.factorial(enumeration.MAX_N) < 1 << _BITS
@@ -322,6 +345,25 @@ class TestDegreeArray:
             for k in range(m):
                 expected = bytes(degree(w) for w in words if w[k] == m)
                 assert _array_shard(m, k + 1, prev, sorter) == expected, (m, k)
+
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_array_shard_with_wide_rows(self, sorter):
+        # |R| = 7 has 326 sorted patterns, more than one translate table
+        # holds, so each row is mapped through R's images instead
+        _, degree = SORT_AND_DEGREE[sorter]
+        prev = _degree_array(8, sorter)
+        expected = bytes(degree((a, 9, *rest)) for a in range(1, 9)
+                         for rest in itertools.permutations([v for v in range(1, 9) if v != a]))
+        assert len(_patterns(7)) > 256
+        assert _array_shard(9, 2, prev, sorter) == expected
+
+    @pytest.mark.parametrize("sorter", SORTERS)
+    def test_images_index_the_sorted_patterns(self, sorter):
+        sort, _ = SORT_AND_DEGREE[sorter]
+        for a in range(9):
+            index = {y: j for j, y in enumerate(_patterns(a))}
+            words = itertools.permutations(range(1, a + 1))
+            assert list(_images(a, sorter)) == [index[sort(q)] for q in words], a
 
     @pytest.mark.parametrize("sorter", SORT_AND_DEGREE)
     def test_array_is_the_iterated_degree(self, sorter):
@@ -489,6 +531,23 @@ class TestTheoremSuite:
         blob = verify_theorems(3).to_json()
         assert blob["ok"] is True
         assert all({"name", "ok"} <= set(c) for c in blob["checks"])
+
+    def test_asks_for_both_tables_of_its_size_only(self, get_table):
+        table, asked = recording(get_table)
+        assert verify_theorems(5, 1, table).ok
+        assert sorted(asked) == [(5, "revstack"), (5, "stack")]
+
+    def test_table_checks_read_the_given_tables(self, get_table):
+        # three degree-4 permutations of the stack table moved to degree 3:
+        # only checks that read the tables can see it
+        stack = moved_cells(get_table(5, "stack"), 4, 3, col=2, k=3)
+
+        def fake(n, sorter):
+            return stack if sorter == "stack" else get_table(n, sorter)
+
+        report = verify_theorems(5, 1, fake)
+        failed = {c.name for c in report.checks if not c.ok}
+        assert failed and not failed & {name for name, _ in enumeration._PERMUTATION_CHECKS}
 
     def test_failing_check_reports_least_counterexample(self, monkeypatch):
         # the 2431 check fails on exactly these permutations; the fused pass
