@@ -14,11 +14,10 @@ lexicographically least permutation it fails on.  Descent tables and
 the degree arrays shard by the position of n and make no sorting pass
 over S_n (their kernels are in split): a table shard works on sorted
 patterns, and an array shard writes one block of degrees per left side
-L of w = L n R, from one row per split of the values and sorted pattern
-of L.  Hard cap
-n <= 13, the largest size timed (about 1.5 minutes per sorter on two
-cores, with about 2 GB resident in the parent and its largest worker
-together).
+L of w = L n R and split of the values, made once per sorted pattern of
+L.  Hard cap n <= 13, the largest size timed (about 1.5 minutes per
+sorter on two cores, with about 2 GB resident in the parent and its
+largest worker together).
 
 verify_theorems, verify_steingrimsson, classify_degree_nm2 and
 reproduce_appendix read descent tables only through a table(n, sorter)
@@ -569,15 +568,15 @@ def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[Che
 def verify_theorems(
     n: int,
     jobs: Optional[int] = None,
-    table: Callable[[int, str], DescentTable] = descent_table,
+    table: Optional[Callable[[int, str], DescentTable]] = None,
 ) -> SuiteReport:
     """Run every exhaustive property check at size n in one pass over S_n,
     sharded over jobs workers (_check_shard).  The shards merge in order,
     so each check reports its least counterexample for any jobs.  The
     table checks read both descent tables through table(n, sorter)
-    (default descent_table, the tables users see, swept with its own
-    default worker count)."""
+    (default descent_table over the same jobs, the tables users see)."""
     _check_n(n)
+    table = table or functools.partial(descent_table, jobs=jobs)
     arrays = (_degree_array(n - 1, "revstack", jobs), _degree_array(n - 1, "stack", jobs))
     bads, pair_lists, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays))
     first_bad: dict[str, str] = {}

@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from array import array
-from typing import Iterator
 
 from .perms import Word, revstack_sort_sim, stack_sort_sim
 
@@ -75,89 +74,47 @@ def _array_shard(m: int, i: int, prev: bytes, sorter: str) -> bytes:
     L, then R, lexicographically (the order of their ranks); prev is the
     sorter's degree array of S_(m-1).
 
-    Each L writes one block of the |R|! bytes of its w, at |R|! times the
-    lex rank of L among the arrangements of k of the values 1..m-1
-    (_placements).  The degree is 1 + prev at the rank of X(w)[:-1] (see
-    _split_shard), which depends only on the value split and on the
-    sorted patterns U = X(L) and V = X(R).  So the first pattern p of L
-    (in lex order) with a given U makes, per split, one row of 1 + prev
-    over the V of _patterns and turns it into its block with one
-    translate of R's images (_images), or a map when R has more than 256
-    patterns; every later p with that U writes the same blocks at its own
-    places.  No side is sorted here.  The ends are prev itself,
-    deg(L m) = deg(L), and deg(m R) = max(deg R, 1)."""
+    For each set of values of R, each L writes one block of the |R|!
+    bytes of its w, at the head offset of L in the word L R of length
+    m - 1 (_head_offsets).  The degree is 1 + prev at the rank of
+    X(w)[:-1] (see _split_shard), which depends only on the value split
+    and on the sorted patterns U = X(L) and V = X(R).  So each U makes,
+    per split, one row of 1 + prev over the V of _patterns, and turns it
+    into its block with one translate of R's images (_images), or a map
+    when R has more than 256 patterns; each L then copies the blocks of
+    its U (_images of L) into place, one Python write per block.  No
+    side is sorted here.  The ends are prev itself, deg(L m) = deg(L),
+    and deg(m R) = max(deg R, 1)."""
     k = i - 1
     if k in (0, m - 1):
         return prev.translate(_AT_LEAST_ONE) if k == 0 else prev
     r = m - 1 - k
     plus_one = prev.translate(_PLUS_ONE)
-    rid, us, vs = _images(r, sorter), list(_patterns(k)), list(_patterns(r))
+    rid, vs = _images(r, sorter), list(_patterns(r))
     pad = bytes(256 - len(vs)) if len(vs) <= 256 else None
     weights = [math.factorial(m - 2 - j) for j in range(m - 2)]
-    # pairs(u) gives, split by split, (x, ys): the rank of X(w)[:-1] is
-    # x + y for the y of each V.  The splits run over the values of L in
-    # lex order, so over those of R backwards.
-    if sorter == "revstack":  # X(w)[:-1] = T(R)T(L): V leads
-        cols = list(zip(*(_head_offsets(v, k, weights) for v in vs)))
+    # pairs(u) gives, split by split in lex order of the values of R,
+    # (x, ys): the rank of X(w)[:-1] is x + y for the y of each V
+    if sorter == "revstack":  # X(w)[:-1] = T(R)T(L): V leads, and its
+        # offsets run over the values of L in lex order, so R's backwards
+        cols = list(zip(*(_head_offsets(v, k, weights) for v in vs)))[::-1]
         pairs = lambda u: zip(itertools.repeat(_rank(u)), cols)
     else:  # S(L)S(R): U leads
         ranks = list(map(_rank, vs))
-        pairs = lambda u: zip(_head_offsets(u, r, weights)[::-1], itertools.repeat(ranks))
+        pairs = lambda u: zip(_head_offsets(u, r, weights), itertools.repeat(ranks))
+
+    def blocks(u: Word) -> list[bytes]:
+        rows = (bytes(map(plus_one.__getitem__, map(x.__add__, ys))) for x, ys in pairs(u))
+        return [rid.translate(row + pad) if pad is not None
+                else bytes(map(row.__getitem__, rid)) for row in rows]
+
+    made = list(map(blocks, _patterns(k)))
     block = math.factorial(r)
     out = bytearray(math.factorial(m - 1))
-    # a block of one or two bytes is one item of a cast view: an item
-    # write is cheaper than a slice
-    item = {1: "B", 2: "H"}.get(block)
-    seen: dict[int, array | list[bytes]] = {}  # the blocks of each U, split by split
-    cells = memoryview(out).cast(item) if item else None
-    for (firsts, rests, below), u in zip(_placements(k, r), _images(k, sorter)):
-        data = seen.get(u)
-        if data is None:
-            rows = (bytes(map(plus_one.__getitem__, map(x.__add__, ys))) for x, ys in pairs(us[u]))
-            blocks = [rid.translate(row + pad) if pad is not None
-                      else bytes(map(row.__getitem__, rid)) for row in rows]
-            data = seen[u] = array(item, b"".join(blocks)) if item else blocks
-        if item:
-            for f, s, value in zip(firsts, rests, data):
-                cells[f + below[s]] = value
-        else:
-            for f, s, value in zip(firsts, rests, data):
-                at = (f + below[s]) * block
-                out[at:at + block] = value
+    for p, u in zip(itertools.permutations(range(1, k + 1)), _images(k, sorter)):
+        for at, value in zip(_head_offsets(p, r, weights), made[u]):
+            out[at:at + block] = value
     return bytes(out)
-
-
-@functools.cache
-def _steps(h: int, a: int) -> tuple[list[list[int]], list[list[int]]]:
-    """For each c < h and each h-subset S of 1..h+a, in lex order: the
-    weight (S[c] - 1) * (h+a-1)! / a! of an arrangement of S that starts
-    with S[c], and the index, among the (h-1)-subsets of 1..h+a-1 in lex
-    order, of the rest of S, closed up over S[c]."""
-    n = h + a
-    index = {s: j for j, s in enumerate(itertools.combinations(range(1, n), h - 1))}
-    subsets = list(itertools.combinations(range(1, n + 1), h))
-    weight = math.perm(n - 1, h - 1)
-    firsts = [[(s[c] - 1) * weight for s in subsets] for c in range(h)]
-    rests = [[index[tuple(v - (v > s[c]) for v in s if v != s[c])] for s in subsets]
-             for c in range(h)]
-    return firsts, rests
-
-
-def _placements(h: int, a: int) -> Iterator[tuple[list[int], list[int], array]]:
-    """For each p of S_h in lex order, the lex rank of p relabelled onto
-    each h-subset of 1..h+a, in lex order, among the arrangements of h of
-    the values 1..h+a, as (firsts, rests, below): the rank on the j-th
-    subset is firsts[j] + below[rests[j]].  firsts and rests come from
-    p's first entry (_steps), and below holds the ranks of the rest of p
-    one size down, which are kept for all the patterns of S_(h-1)."""
-    if not h:
-        yield [0], [0], array("Q", [0])
-        return
-    lower = [array("Q", [f + below[s] for f, s in zip(firsts, rests)])
-             for firsts, rests, below in _placements(h - 1, a)]
-    for firsts, rests in zip(*_steps(h, a)):
-        for below in lower:
-            yield firsts, rests, below
 
 
 @functools.cache

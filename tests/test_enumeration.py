@@ -537,6 +537,20 @@ class TestTheoremSuite:
         assert verify_theorems(5, 1, table).ok
         assert sorted(asked) == [(5, "revstack"), (5, "stack")]
 
+    def test_default_tables_sweep_with_its_jobs(self, monkeypatch):
+        # descent_table is looked up at call time, so a stand-in (or a
+        # tracer) sees both sweeps, and they get the suite's worker count
+        asked = []
+        real = enumeration.descent_table
+
+        def spy(n, sorter="revstack", jobs=None):
+            asked.append((n, sorter, jobs))
+            return real(n, sorter, jobs)
+
+        monkeypatch.setattr(enumeration, "descent_table", spy)
+        assert verify_theorems(5, 1).ok
+        assert sorted(asked) == [(5, "revstack", 1), (5, "stack", 1)]
+
     def test_table_checks_read_the_given_tables(self, get_table):
         # three degree-4 permutations of the stack table moved to degree 3:
         # only checks that read the tables can see it
