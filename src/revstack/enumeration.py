@@ -21,8 +21,8 @@ largest worker together).
 
 verify_theorems, verify_steingrimsson, classify_degree_nm2 and
 reproduce_appendix read descent tables only through a table(n, sorter)
-callable (default descent_table); one memoised callable shared between
-them sweeps each (n, sorter) table once.
+callable (default descent_table, looked up when they are called); one
+memoised callable shared between them sweeps each (n, sorter) table once.
 """
 from __future__ import annotations
 
@@ -383,24 +383,22 @@ def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_
 
 
 def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    # (1) an inversion of w is never an inversion of T(w);
-    # (2) a non-inversion (a, b) flips iff some c > b sits between them;
-    # (3) hence inversions of T(w) are exactly the (b, a) with a 132
-    #     occurrence (a, c, b) in w.
-    n = len(w)
-    pos_w = {v: i for i, v in enumerate(w)}
-    pos_t = {v: i for i, v in enumerate(t)}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if pos_w[b] < pos_w[a]:
-                if pos_t[a] > pos_t[b]:
-                    return False
-            else:
-                has_c = any(
-                    c > b and pos_w[a] < pos_w[c] < pos_w[b] for c in range(b + 1, n + 1)
-                )
-                if (pos_t[b] < pos_t[a]) != has_c:
-                    return False
+    # For x left of y in w, y precedes x in T(w) iff x > y or some value
+    # between them exceeds y: (1) an inversion of w is never an inversion
+    # of T(w); (2) a non-inversion flips iff some c > y sits between them;
+    # (3) hence inversions of T(w) are exactly the (y, x) with a 132
+    # occurrence (x, c, y) in w.  One walk over position pairs, top the
+    # largest value strictly between x and y.
+    pos_t = [0] * (len(w) + 1)
+    for i, v in enumerate(t):
+        pos_t[v] = i
+    for i, x in enumerate(w):
+        top = 0
+        for y in w[i + 1:]:
+            if (pos_t[y] < pos_t[x]) != (x > y or top > y):
+                return False
+            if y > top:
+                top = y
     return True
 
 
@@ -500,9 +498,15 @@ def _check_shard(n: int, first: int, prev_t: bytes, prev_s: bytes) -> tuple:
     return first_bad, pairs, stack_rev_stack
 
 
+def _row_check(name: str, want: IntPoly, t: int, *tables: DescentTable) -> CheckResult:
+    """Whether row t of every one of tables is want; a failure names the
+    first row that is not, like "stack row t=4"."""
+    bad = next((f"{table.sorter} row t={t}" for table in tables if table.row(t) != want), "")
+    return CheckResult(name, not bad, bad)
+
+
 def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[CheckResult]:
     sym = uni = logc = edges = nesting = ""
-    eulerian_match = rev.row(n - 1) == eulerian_poly(n) == st.row(n - 1)
     for t in range(n):
         v = rev.descent_counts(t)
         w = st.descent_counts(t)
@@ -526,28 +530,20 @@ def _check_table_structure(n: int, rev: DescentTable, st: DescentTable) -> list[
         CheckResult("table rows log-concave", not logc, logc),
         CheckResult("edge columns match the stack table", not edges, edges),
         CheckResult("t-sortable sets nest", not nesting, nesting),
-        CheckResult("last row is the Eulerian polynomial", eulerian_match),
+        _row_check("last row is the Eulerian polynomial", eulerian_poly(n), n - 1, rev, st),
     ]
 
 
 def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[CheckResult]:
     out = []
     if n >= 2:
-        out.append(CheckResult(
-            "one-pass row is the Narayana polynomial",
-            rev.row(1) == narayana_poly(n) == st.row(1),
-        ))
+        out.append(_row_check("one-pass row is the Narayana polynomial",
+                              narayana_poly(n), 1, rev, st))
     if n >= 3:
-        out.append(CheckResult(
-            "two-pass rows agree between sorters", rev.row(2) == st.row(2)
-        ))
+        out.append(_row_check("two-pass rows agree between sorters", rev.row(2), 2, st))
     if n >= 4:
-        out.append(CheckResult(
-            "degree-(n-2) closed form", rev.row(n - 2) == w_revstack_nm2(n)
-        ))
-        out.append(CheckResult(
-            "degree-(n-3) closed form", rev.row(n - 3) == w_revstack_nm3(n)
-        ))
+        out.append(_row_check("degree-(n-2) closed form", w_revstack_nm2(n), n - 2, rev))
+        out.append(_row_check("degree-(n-3) closed form", w_revstack_nm3(n), n - 3, rev))
         out.append(CheckResult(
             "degree-(n-3) case-total form",
             w_revstack_nm3(n) == w_revstack_nm3_from_contributions(n),
@@ -648,13 +644,14 @@ class SteingrimssonReport:
 
 
 def verify_steingrimsson(
-    n: int, table: Callable[[int, str], DescentTable] = descent_table
+    n: int, table: Optional[Callable[[int, str], DescentTable]] = None
 ) -> SteingrimssonReport:
     """Compare t-stack-sortable and t-revstack-sortable counts for all t,
     read from table(n, "revstack") and table(n, "stack"): the stack count
     never exceeds the revstack count, strictly so exactly when
-    2 < t < n-1."""
+    2 < t < n-1 (default table: descent_table)."""
     _check_n(n)
+    table = table or descent_table
     rev, st = table(n, "revstack"), table(n, "stack")
     rows = tuple(SteingrimssonRow(t, st.count(t), rev.count(t)) for t in range(n))
     ok = all(r.stack_count <= r.revstack_count and r.strict == (2 < r.t < n - 1) for r in rows)
@@ -759,16 +756,18 @@ class ClassificationReport:
 
 
 def classify_degree_nm2(
-    n: int, table: Callable[[int, str], DescentTable] = descent_table
+    n: int, table: Optional[Callable[[int, str], DescentTable]] = None
 ) -> ClassificationReport:
     """Materialise the six families, then verify they are pairwise
     disjoint, cover exactly the degree-(n-2) permutations, and contribute
     the expected descent polynomials.  Coverage holds when every member
     has degree n-2 and, the families being disjoint, the members number
     as many as the degree-(n-2) permutations of table(n, "revstack"),
-    which is asked for only once the families and polynomials pass."""
+    which is asked for only once the families and polynomials pass
+    (default table: descent_table)."""
     if not 4 <= n <= 10:
         raise ValueError("classification supported for 4 <= n <= 10")
+    table = table or descent_table
     classes = degree_nm2_classes(n)
     contributions = degree_nm2_contributions(n)
 
@@ -909,14 +908,15 @@ class AppendixReport:
 def reproduce_appendix(
     enumerate_max_n: int = 8,
     entries: Optional[list[dict]] = None,
-    table: Callable[[int, str], DescentTable] = descent_table,
+    table: Optional[Callable[[int, str], DescentTable]] = None,
 ) -> AppendixReport:
     """Compare the reference tables against this implementation:
     coefficients bit-exactly against table(n, "revstack") for
     n <= enumerate_max_n, and root lists against Sturm isolation within
-    ROOT_TOLERANCE for every listed size."""
+    ROOT_TOLERANCE for every listed size (default table: descent_table)."""
     if entries is None:
         entries = load_reference_tables()
+    table = table or descent_table
     mismatches: list[AppendixMismatch] = []
     sizes = sorted({e["n"] for e in entries})
     enumerated = [n for n in sizes if n <= enumerate_max_n]

@@ -107,23 +107,22 @@ def g_map(word: Sequence[int]) -> Word:
     return (pivot,) + g_map(right)
 
 
+def _vertices(t: Node) -> list[Node]:
+    """The nodes of t bottom-to-top by depth (deepest level first) and
+    left-to-right within a level, level by level from the root: on one
+    level that order is the in-order one."""
+    levels = [[t]]
+    while True:
+        below = [c for node in levels[-1] for c in (node.left, node.right) if c is not None]
+        if not below:
+            return [node for level in reversed(levels) for node in level]
+        levels.append(below)
+
+
 def vertex_indexing(t: Node) -> list[int]:
     """Labels v_1, ..., v_n ordered bottom-to-top by depth (deepest level
     first) and left-to-right (by in-order position) within a level."""
-    entries: list[tuple[int, int, int]] = []  # (depth, inorder position, label)
-    counter = [0]
-
-    def walk(node: Optional[Node], depth: int) -> None:
-        if node is None:
-            return
-        walk(node.left, depth + 1)
-        counter[0] += 1
-        entries.append((depth, counter[0], node.label))
-        walk(node.right, depth + 1)
-
-    walk(t, 0)
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return [label for _, _, label in entries]
+    return [node.label for node in _vertices(t)]
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,8 @@ class HStep:
 
 def h_details(word: Sequence[int]) -> HStep:
     """Run the descent-raising map and report the balanced-prefix index and
-    the flipped only-child vertices.
+    the flipped only-child vertices, reading each vertex's children off the
+    nodes _vertices lists (one walk of the tree).
 
     Raises LookupError when no prefix T_i has exactly one more left edge
     than right edges (outside the guaranteed range des <= (n-3)/2 this can
@@ -147,32 +147,14 @@ def h_details(word: Sequence[int]) -> HStep:
     """
     w = tuple(word)
     t = tree_of(w)
-    order = vertex_indexing(t)
-
-    children: dict[int, tuple[Optional[int], Optional[int]]] = {}
-
-    def walk(node: Optional[Node]) -> None:
-        if node is None:
-            return
-        children[node.label] = (
-            node.left.label if node.left else None,
-            node.right.label if node.right else None,
-        )
-        walk(node.left)
-        walk(node.right)
-
-    walk(t)
-
+    order = _vertices(t)
     # Vertices arrive deepest level first, so both children of a vertex are
     # already in the prefix when it arrives; edge counts grow by its arity.
     left_edges = right_edges = 0
     index = None
-    for i, label in enumerate(order, start=1):
-        lc, rc = children[label]
-        if lc is not None:
-            left_edges += 1
-        if rc is not None:
-            right_edges += 1
+    for i, node in enumerate(order, start=1):
+        left_edges += node.left is not None
+        right_edges += node.right is not None
         if left_edges == right_edges + 1:
             index = i
             break
@@ -181,10 +163,9 @@ def h_details(word: Sequence[int]) -> HStep:
 
     flip_labels = []
     flip_indices = []
-    for i, label in enumerate(order[:index], start=1):
-        lc, rc = children[label]
-        if (lc is None) != (rc is None):
-            flip_labels.append(label)
+    for i, node in enumerate(order[:index], start=1):
+        if (node.left is None) != (node.right is None):
+            flip_labels.append(node.label)
             flip_indices.append(i)
     flips = set(flip_labels)
 

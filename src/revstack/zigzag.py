@@ -25,14 +25,18 @@ cls[i] on all lie in window(cls[i]), which holds no value above cls[i],
 so nothing interrupts them; conversely a value above cls[i] between cls[i]
 and cls[i + 1] interrupts that pair.  _window_dp runs a DP on it.
 
-Plain zigzags come from a greedy chain per pivot (_chain), uninterrupted
-ones from the window DP.  Each finder builds the lexicographically largest
+Plain zigzags come from a greedy chain per pivot (_chain).  Uninterrupted
+ones come from one loop of starts (_starts): each z_0, z_1 and z_2 in
+descending lexicographic order of values, with the most entries the window
+DP can add to it.  zigzag_degrees takes the largest of these reaches, and
+find_uninterrupted_zigzag the first start that reaches k + 2, extended
+entry by entry.  Each finder builds the lexicographically largest
 k-zigzag, taking every entry as the largest value that still completes one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .perms import Word
 
@@ -174,11 +178,30 @@ def _window_dp(w: Word, left: list[int], right: list[int]) -> Callable[[int, int
     return picks
 
 
+def _starts(w: Word, order: list[int],
+            picks: Callable[[int, int], int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every uninterrupted start of w with its reach, in descending
+    lexicographic order of values, each pair before the triples it begins:
+    ((p0, p1), 2) for z_1 right of z_0, and ((p0, p1, p2), 3 + picks(p2, p1))
+    for z_2 left of z_0 as well, the reach being the most entries of an
+    uninterrupted zigzag that starts so.  order lists the positions of w by
+    descending value; picks is _window_dp(w, ...)."""
+    for i, p0 in enumerate(order):
+        for j in range(i + 1, len(order)):
+            p1 = order[j]
+            if p1 > p0:
+                yield (p0, p1), 2
+                for p2 in order[j + 1:]:
+                    if p2 < p0:
+                        yield (p0, p1, p2), 3 + picks(p2, p1)
+
+
 def find_uninterrupted_zigzag(word: Sequence[int], k: int) -> Optional[Zigzag]:
-    """The lexicographically largest uninterrupted k-zigzag, or None: each
-    entry the largest value that can follow the ones before it (z_1 right
-    of z_0, z_2 left of it, a later entry in the window of the previous
-    entry of its class) from which the window DP still reaches k + 2."""
+    """The lexicographically largest uninterrupted k-zigzag, or None: the
+    first start (_starts) that reaches k + 2 entries, cut to k + 2 or
+    extended greedily, each later entry the largest value in the window of
+    the previous entry of its class from which the window DP still
+    reaches k + 2."""
     if k < 0:
         raise ValueError("zigzag degree must be non-negative")
     w = tuple(word)
@@ -187,31 +210,15 @@ def find_uninterrupted_zigzag(word: Sequence[int], k: int) -> Optional[Zigzag]:
     left, right = _windows(w)
     picks = _window_dp(w, left, right)
     order = sorted(range(len(w)), key=w.__getitem__, reverse=True)
-
-    def nexts(z: tuple[int, ...]) -> list[int]:  # what can follow z, by descending value
-        b = z[-2] if len(z) > 1 else z[0]
-        span = (range(b + 1, len(w)) if len(z) == 1 else range(b) if len(z) == 2
-                else range(left[b] + 1, right[b]))
-        return [c for c in order if c in span and w[c] < w[z[-1]]]
-
     need = k + 2
-    pivots: dict[tuple[int, ...], bool] = {}  # reaches() of (z_0) and (z_0, z_1)
-
-    def reaches(z: tuple[int, ...]) -> bool:  # whether a zigzag of need entries starts z
-        if len(z) > 2:
-            return len(z) + picks(z[-1], z[-2]) >= need
-        if z not in pivots:
-            pivots[z] = len(z) >= need or any(reaches(z + (c,)) for c in nexts(z))
-        return pivots[z]
-
-    z: tuple[int, ...] = ()
+    z = next((start[:need] for start, reach in _starts(w, order, picks) if reach >= need), None)
+    if z is None:
+        return None
     while len(z) < need:
-        for c in nexts(z) if z else order:
-            if reaches(z + (c,)):
-                z += (c,)
-                break
-        else:
-            return None
+        b, a = z[-2], z[-1]
+        c = next(c for c in order if left[b] < c < right[b] and w[c] < w[a]
+                 and len(z) + 1 + picks(c, a) >= need)
+        z += (c,)
     return Zigzag(tuple(w[p] for p in z), False)
 
 
@@ -220,21 +227,17 @@ def zigzag_degrees(word: Sequence[int]) -> tuple[int, int]:
 
     Dropping the final entry of an (uninterrupted) zigzag leaves an
     (uninterrupted) zigzag, so both families are downward closed and the
-    two maxima capture every k at once.  The uninterrupted maximum tries
-    every z_0, z_1 and z_2 and reads the rest from the window DP.
+    two maxima capture every k at once.  The uninterrupted maximum is the
+    largest reach of a start (_starts), less 2; the scan stops once a
+    start reaches maxz + 2, as nothing can beat that.
     """
     w = tuple(word)
-    n = len(w)
     maxz = max_zigzag_degree(w)
-    picks = _window_dp(w, *_windows(w))
-    best = min(maxz + 1, 1)  # entries after z0 (z1 right, z2 left): 1 if w has an inversion
-    for p0, z0 in enumerate(w):
-        for p1 in range(p0 + 1, n):
-            z1 = w[p1]
-            if z1 < z0:
-                for p2 in range(p0):
-                    if w[p2] < z1:
-                        best = max(best, 2 + picks(p2, p1))
-                if best > maxz:  # maxu <= maxz: nothing can beat it
-                    return maxz, maxz
-    return maxz, best - 1
+    order = sorted(range(len(w)), key=w.__getitem__, reverse=True)
+    best = 1  # the identity has no start
+    for _, reach in _starts(w, order, _window_dp(w, *_windows(w))):
+        if reach > best:
+            best = reach
+            if best >= maxz + 2:
+                break
+    return maxz, best - 2

@@ -55,6 +55,29 @@ def scan_degree(word, uninterrupted=False):
                default=-1)
 
 
+def precedence_by_value_pairs(w, t):
+    """The precedence lemmas for w and its revstack image t, value pair by
+    value pair: (1) an inversion of w is never an inversion of t; (2) a
+    non-inversion (a, b) flips iff some c > b sits between them; (3)
+    hence inversions of t are exactly the (b, a) with a 132 occurrence
+    (a, c, b) in w."""
+    n = len(w)
+    pos_w = {v: i for i, v in enumerate(w)}
+    pos_t = {v: i for i, v in enumerate(t)}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if pos_w[b] < pos_w[a]:
+                if pos_t[a] > pos_t[b]:
+                    return False
+            else:
+                has_c = any(
+                    c > b and pos_w[a] < pos_w[c] < pos_w[b] for c in range(b + 1, n + 1)
+                )
+                if (pos_t[b] < pos_t[a]) != has_c:
+                    return False
+    return True
+
+
 def _fraction_sign(f, x):
     value = f(x)
     return (value > 0) - (value < 0)

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_zigzag, walk_patterns
+from oracles import precedence_by_value_pairs, scan_zigzag, walk_patterns
 from revstack.enumeration import (
     CACHE_FORMAT_VERSION,
     SORTERS,
     DescentTable,
+    _check_closed_forms,
     _check_table_structure,
     _degree,
     _degree_array,
@@ -618,13 +619,13 @@ class TestTheoremSuite:
         ([(1, 0, 1)], {
             "table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1": "symmetry at t=1",
             "edge columns match the stack table": "edge-column equality at t=1",
-            "last row is the Eulerian polynomial": "",
+            "last row is the Eulerian polynomial": "revstack row t=4",
         }),
         ([(1, 0, 1), (1, 2, 1000)], {
             "table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1": "symmetry at t=1",
             "table rows log-concave": "log-concavity at t=1",
             "edge columns match the stack table": "edge-column equality at t=1",
-            "last row is the Eulerian polynomial": "",
+            "last row is the Eulerian polynomial": "revstack row t=4",
         }),
     ])
     def test_table_checks_report_their_own_counterexample(self, get_table, cells, expected):
@@ -634,6 +635,38 @@ class TestTheoremSuite:
         rev = DescentTable(5, "revstack", tuple(map(tuple, deg_des)))
         results = _check_table_structure(5, rev, get_table(5, "stack"))
         assert {c.name: c.counterexample for c in results if not c.ok} == expected
+
+    @pytest.mark.parametrize("sorter, src, expected", [
+        # one permutation with one descent moved from degree src to src + 1
+        ("stack", 1, {"one-pass row is the Narayana polynomial": "stack row t=1"}),
+        ("revstack", 2, {"two-pass rows agree between sorters": "stack row t=2"}),
+        ("revstack", 3, {
+            "degree-(n-3) closed form": "revstack row t=3",
+            "counting formulas": "",
+        }),
+        ("revstack", 4, {
+            "degree-(n-2) closed form": "revstack row t=4",
+            "counting formulas": "",
+        }),
+    ])
+    def test_closed_forms_name_the_failing_row(self, get_table, sorter, src, expected):
+        tables = {s: get_table(6, s) for s in SORTERS}
+        tables[sorter] = moved_cells(tables[sorter], src, src + 1, col=1)
+        results = _check_closed_forms(6, tables["revstack"], tables["stack"])
+        assert {c.name: c.counterexample for c in results if not c.ok} == expected
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_precedence_lemmas_match_the_value_pair_form(self, n):
+        # with T(w) every w passes; with its first two entries swapped,
+        # which reverses one pair's order in T(w), every w fails
+        pred = enumeration._pred_precedence_lemmas
+        for w in itertools.permutations(range(1, n + 1)):
+            t = revstack_sort_sim(w)
+            assert pred(w, (), t, 0, 0, 0) and precedence_by_value_pairs(w, t)
+            if n >= 2:
+                swapped = (t[1], t[0]) + t[2:]
+                assert not pred(w, (), swapped, 0, 0, 0)
+                assert not precedence_by_value_pairs(w, swapped)
 
 
 class TestClassification:
@@ -787,3 +820,24 @@ class TestAppendixReproduction:
         report = reproduce_appendix(enumerate_max_n=1, entries=entries)
         assert not report.ok
         assert any(m.n == 4 and m.t == 3 and "root" in m.what for m in report.mismatches)
+
+
+def test_consumers_look_up_descent_table_when_called(monkeypatch):
+    # each consumer without a table reads enumeration.descent_table at
+    # call time, so a stand-in (or perfbench's tracer) sees its requests
+    asked = []
+    real = enumeration.descent_table
+
+    def spy(n, sorter="revstack", jobs=None):
+        asked.append((n, sorter))
+        return real(n, sorter, jobs)
+
+    monkeypatch.setattr(enumeration, "descent_table", spy)
+    for run, want in [
+        (lambda: verify_steingrimsson(5), [(5, "revstack"), (5, "stack")]),
+        (lambda: classify_degree_nm2(5), [(5, "revstack")]),
+        (lambda: reproduce_appendix(3), [(n, "revstack") for n in (1, 2, 3)]),
+    ]:
+        asked.clear()
+        assert run().ok
+        assert sorted(asked) == want
