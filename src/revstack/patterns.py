@@ -10,6 +10,14 @@ values renormalised) that CANNOT be extended to an occurrence of the full
 unbarred pattern by inserting a single host element at the barred slot.
 Avoidance means every occurrence of the reduction extends.
 
+Occurrences are found by backtracking in one loop over an explicit stack
+of chosen indices (_occurrences), in lexicographic order of positions, so
+the first one is the least witness.  A candidate letter is tried with one
+compare against the bounds its pattern letter's nearest smaller and
+nearest larger letters set (_neighbours).  Each barred pattern's
+reduction and bar slot are computed once (_bar_slot), and the bar test
+is one scan of the host letters between the slot's flanking positions.
+
 Text syntax: letters as integers, a ``!`` suffix marking the barred one,
 e.g. ``"2 4 1 5! 3"``; compact form ``"2415!3"`` is accepted for
 single-digit patterns.
@@ -126,65 +134,90 @@ def contains_classical(word: Sequence[int], pattern: PatternSpec) -> Optional[Oc
 @functools.lru_cache(maxsize=None)
 def _neighbours(pat: Word) -> tuple[tuple[int, int], ...]:
     """For each depth d, the indices in pat[:d] of the nearest smaller and
-    the nearest larger letter than pat[d] by value, -1 where there is none."""
+    the nearest larger letter than pat[d] by value.  Where there is none
+    the index is m or m + 1, the slots past the m chosen letters that
+    _occurrences fills with -inf and +inf."""
+    m = len(pat)
     out = []
     for d, v in enumerate(pat):
         below = [j for j in range(d) if pat[j] < v]
         above = [j for j in range(d) if pat[j] > v]
-        out.append((max(below, key=pat.__getitem__, default=-1),
-                    min(above, key=pat.__getitem__, default=-1)))
+        out.append((max(below, key=pat.__getitem__, default=m),
+                    min(above, key=pat.__getitem__, default=m + 1)))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _bar_slot(pattern: PatternSpec) -> tuple[Word, int, int, int, int]:
+    """A barred pattern's reduction and where its bar sits in an occurrence
+    of it: the indices of the occurrence letters just left and just right
+    of the barred slot, and of the kept letters just below and just above
+    the barred letter by value, -1 where there is none."""
+    bi = pattern.barred_index
+    assert bi is not None
+    red = pattern.reduction()
+    vb = pattern.letters[bi - 1]
+    return (
+        red,
+        bi - 2,
+        bi - 1 if bi <= len(red) else -1,
+        red.index(vb - 1) if vb > 1 else -1,
+        red.index(vb) if vb <= len(red) else -1,
+    )
 
 
 def _occurrences(word: Word, pat: Word) -> Iterator[Occurrence]:
     """Every occurrence of a classical pattern, positions in lexicographic
-    order, by backtracking.  A prefix order-isomorphic to pat[:d] extends
-    by exactly the letters strictly between its letters at the indices of
-    pat[d]'s nearest smaller and nearest larger letters (_neighbours)."""
+    order, by backtracking in one loop over an explicit stack of chosen
+    indices and their values, one per depth.  A prefix order-isomorphic to
+    pat[:d] extends by exactly the letters strictly between its values at
+    the indices of pat[d]'s nearest smaller and nearest larger letters
+    (_neighbours).  The next candidate at depth d is scanned for from i;
+    when none is left, the loop backs up to depth d - 1 and resumes after
+    the index chosen there."""
     m, n = len(pat), len(word)
+    if m == 0:
+        yield Occurrence((), ())
+        return
     bounds = _neighbours(pat)
-    chosen: list[int] = []
-
-    def extend(start: int) -> Iterator[Occurrence]:
-        depth = len(chosen)
-        if depth == m:
-            yield Occurrence(tuple(i + 1 for i in chosen), tuple(word[i] for i in chosen))
-            return
-        below, above = bounds[depth]
-        lo = word[chosen[below]] if below >= 0 else -math.inf
-        hi = word[chosen[above]] if above >= 0 else math.inf
-        for i in range(start, n - (m - depth) + 1):
+    chosen = [0] * m
+    values = [0] * m + [-math.inf, math.inf]
+    d = i = 0
+    while True:
+        below, above = bounds[d]
+        lo, hi = values[below], values[above]
+        for i in range(i, n - m + d + 1):
             if lo < word[i] < hi:
-                chosen.append(i)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    return extend(0)
-
-
-def _extends(word: Word, pattern: PatternSpec, occ: Occurrence) -> bool:
-    """Can one host element be inserted at the barred slot to realise the
-    full unbarred pattern around this occurrence of the reduction?"""
-    bi = pattern.barred_index
-    assert bi is not None
-    m = len(pattern.letters)
-    vb = pattern.letters[bi - 1]
-    n = len(word)
-
-    lo_pos = occ.positions[bi - 2] if bi >= 2 else 0
-    hi_pos = occ.positions[bi - 1] if bi <= m - 1 else n + 1
-
-    lo_val, hi_val = 0, n + 1
-    kept = [v for i, v in enumerate(pattern.letters, start=1) if i != bi]
-    for letter, witness in zip(kept, occ.values):
-        if letter < vb:
-            lo_val = max(lo_val, witness)
+                break
         else:
-            hi_val = min(hi_val, witness)
+            if d == 0:
+                return
+            d -= 1
+            i = chosen[d] + 1
+            continue
+        chosen[d] = i
+        values[d] = word[i]
+        i += 1
+        if d < m - 1:
+            d += 1
+        else:
+            yield Occurrence(tuple([c + 1 for c in chosen]), tuple(values[:m]))
 
-    return any(
-        lo_val < word[p - 1] < hi_val for p in range(lo_pos + 1, hi_pos)
-    )
+
+def _extends(word: Word, slot: tuple[Word, int, int, int, int], occ: Occurrence) -> bool:
+    """Can one host element be inserted at the barred slot to realise the
+    full unbarred pattern around this occurrence of the reduction?  The
+    slot's positions lie strictly between the flanking letters' positions,
+    and its value strictly between the kept letters' values (_bar_slot)."""
+    _, left, right, below, above = slot
+    lo_pos = occ.positions[left] if left >= 0 else 0
+    hi_pos = occ.positions[right] if right >= 0 else len(word) + 1
+    lo_val = occ.values[below] if below >= 0 else 0
+    hi_val = occ.values[above] if above >= 0 else len(word) + 1
+    for v in word[lo_pos:hi_pos - 1]:
+        if lo_val < v < hi_val:
+            return True
+    return False
 
 
 def contains_barred(word: Sequence[int], pattern: PatternSpec) -> Optional[Occurrence]:
@@ -192,12 +225,11 @@ def contains_barred(word: Sequence[int], pattern: PatternSpec) -> Optional[Occur
 
     For a pattern without a bar this coincides with contains_classical.
     """
+    if not pattern.has_bar:
+        return contains_classical(word, pattern)
     w = tuple(word)
-    return next(
-        (occ for occ in _occurrences(w, pattern.reduction())
-         if not pattern.has_bar or not _extends(w, pattern, occ)),
-        None,
-    )
+    slot = _bar_slot(pattern)
+    return next((occ for occ in _occurrences(w, slot[0]) if not _extends(w, slot, occ)), None)
 
 
 def is_member_T2(word: Sequence[int]) -> bool:

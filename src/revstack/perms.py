@@ -18,6 +18,7 @@ cross-checks them exhaustively.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -47,7 +48,7 @@ def identity(n: int) -> Word:
 
 
 def is_identity(word: Sequence[int]) -> bool:
-    return all(v == i for i, v in enumerate(word, start=1))
+    return tuple(word) == tuple(range(1, len(word) + 1))
 
 
 def positions(word: Sequence[int]) -> dict[int, int]:
@@ -161,7 +162,7 @@ def descents(word: Sequence[int]) -> int:
     """
     if len(word) == 0:
         raise ValueError("descent count is undefined for the empty permutation")
-    return sum(1 for a, b in zip(word, word[1:]) if a > b)
+    return sum(map(operator.gt, word, word[1:]))
 
 
 def inversions(word: Sequence[int]) -> set[tuple[int, int]]:

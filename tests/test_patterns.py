@@ -10,6 +10,7 @@ from revstack.patterns import (
     REVSTACK_T2_CLASSICAL,
     Occurrence,
     PatternSpec,
+    _occurrences,
     check_sorted_132_witnesses,
     contains_barred,
     contains_classical,
@@ -22,6 +23,14 @@ from revstack.perms import deg_revstack, deg_stack
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
+
+
+CLASSICAL_ORACLE_PATTERNS = ("132", "2431", "2341", "2413", "3241", "24351")
+# Bars in the middle, then bars in the first and last slot and on the
+# smallest and largest letter, where the slot has no flank or no bound.
+BARRED_ORACLE_PATTERNS = (
+    "2415!3", "35!241", "2435!1", "1!32", "213!", "3!21", "231!", "21!", "1!",
+)
 
 
 def order_isomorphic(values, letters):
@@ -98,12 +107,31 @@ class TestClassical:
 
     def test_brute_force_agreement(self):
         # the witness itself, not only containment: the least positions
-        pats = [parse_pattern(s) for s in ("132", "2431", "2341", "2413", "3241", "24351")]
+        pats = [parse_pattern(s) for s in CLASSICAL_ORACLE_PATTERNS]
         for n in range(8):
             for w in all_perms(n):
                 for p in pats:
                     brute = next(occurrences_by_brute_force(w, p.letters), None)
                     assert contains_classical(w, p) == brute, (w, str(p))
+
+    @staticmethod
+    def check_occurrence_order(sizes):
+        # contains_barred takes the first unextendable occurrence, so the
+        # whole order matters, not only its head
+        pats = [parse_pattern(s) for s in CLASSICAL_ORACLE_PATTERNS]
+        for n in sizes:
+            for w in all_perms(n):
+                for p in pats:
+                    assert list(_occurrences(w, p.letters)) == list(
+                        occurrences_by_brute_force(w, p.letters)
+                    ), (w, str(p))
+
+    def test_occurrence_order_matches_brute_force(self):
+        self.check_occurrence_order(range(8))
+
+    @pytest.mark.extended
+    def test_occurrence_order_matches_brute_force_at_8(self):
+        self.check_occurrence_order([8])
 
     def test_bar_rejected(self):
         with pytest.raises(ValueError):
@@ -124,14 +152,22 @@ class TestBarred:
     def test_avoided_when_reduction_absent(self):
         assert contains_barred((1, 2, 3, 4, 5), REVSTACK_T2_BARRED) is None
 
-    @pytest.mark.parametrize("text", ["2415!3", "35!241", "2435!1"])
-    def test_witness_matches_brute_force_oracle(self, text):
-        pattern = parse_pattern(text)
-        for n in range(8):
+    @staticmethod
+    def check_witnesses(pattern, sizes):
+        for n in sizes:
             for w in all_perms(n):
                 assert contains_barred(w, pattern) == first_unextendable_by_brute_force(
                     w, pattern
                 ), w
+
+    @pytest.mark.parametrize("text", BARRED_ORACLE_PATTERNS)
+    def test_witness_matches_brute_force_oracle(self, text):
+        self.check_witnesses(parse_pattern(text), range(8))
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("text", BARRED_ORACLE_PATTERNS)
+    def test_witness_matches_brute_force_oracle_at_8(self, text):
+        self.check_witnesses(parse_pattern(text), [8])
 
     def test_barless_pattern_falls_back_to_classical(self):
         for n in range(6):

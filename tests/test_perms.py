@@ -65,6 +65,15 @@ class TestWorkedExamples:
         with pytest.raises(ValueError):
             descents(())
 
+    def test_identity_and_descents_agree_with_pointwise_forms(self):
+        words = [(), (1,), [1, 2, 3], [2, 1], (1, 3, 2)]
+        words += [w for n in range(1, 7) for w in itertools.permutations(range(1, n + 1))]
+        for w in words:
+            assert is_identity(w) == all(v == i for i, v in enumerate(w, start=1)), w
+            if w:
+                assert descents(w) == sum(1 for a, b in zip(w, w[1:]) if a > b), w
+                assert type(descents(w)) is int
+
     def test_inversions(self):
         assert inversions((1, 2, 3, 4, 5)) == set()
         assert inversions((2, 1)) == {(2, 1)}
