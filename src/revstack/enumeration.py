@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -117,16 +116,21 @@ def _sweep(n: int, shard: Callable, jobs: Optional[int], arrays: tuple[bytes, ..
            pool_from: int = 5) -> list:
     """shard(n, i, *arrays, *args) for each shard i = 1..n, in shard order.
     jobs > 1 (None: one per CPU) runs the shards in a process pool when
-    n >= pool_from; a pool costs about 20 ms to start.  Each worker gets
-    the degree arrays once, through the pool initializer, under any start
-    method.  The pool starts the shards from i = n down, so the heavy
-    array shards next to the end go first; callers merge the results by
-    index, so neither jobs nor that order changes them."""
+    n >= pool_from.  The pool machinery (concurrent.futures and
+    multiprocessing) is imported only then, so a run that never pools
+    never loads it; a pool costs about 20 ms to start, and the first one
+    in a process about 17 ms more for that import.  Each worker gets the
+    degree arrays once, through the pool initializer, under any start
+    method.  The pool starts the shards from i = n down, so the heavy array shards
+    next to the end go first; callers merge the results by index, so
+    neither jobs nor that order changes them."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, n))
     if jobs == 1 or n < pool_from:
         return [shard(n, i, *arrays, *args) for i in range(1, n + 1)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
                              initargs=(arrays,)) as pool:
         futures = {i: pool.submit(_run, shard, n, i, args) for i in range(n, 0, -1)}
@@ -366,14 +370,18 @@ def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, d
 
 def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
     # One walk along the T-chain and one along the S-chain: not the identity
-    # before each of the first deg passes, the identity after them.  Both
-    # operators fix the identity, so with deg <= n-1 this also gives
-    # X^(n-1)(w) = id.
-    for deg, sort in ((deg_t, revstack_sort_sim), (deg_s, stack_sort_sim)):
+    # before each of the first deg passes, the identity after them.  The
+    # first pass is the given T(w) or S(w), which the operator identities
+    # check.  Both operators fix the identity, so with deg <= n-1 this also
+    # gives X^(n-1)(w) = id.
+    for deg, x, sort in ((deg_t, t, revstack_sort_sim), (deg_s, s, stack_sort_sim)):
         if deg > max(0, len(w) - 1):
             return False
-        x = w
-        for _ in range(deg):
+        if deg == 0:
+            x = w
+        elif is_identity(w):
+            return False
+        for _ in range(deg - 1):
             if is_identity(x):
                 return False
             x = sort(x)
@@ -419,7 +427,7 @@ def _pred_stack_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t
 
 def _pred_sorted_132_witnesses(w: Word, s: Word, t: Word, des: int, deg_t: int,
                                deg_s: int) -> bool:
-    return patterns.check_sorted_132_witnesses(w).holds
+    return patterns._witnesses(w, t).holds
 
 
 def _pred_zigzag_bracketing(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:

@@ -282,7 +282,11 @@ def check_sorted_132_witnesses(word: Sequence[int]) -> SortedPatternReport:
     in word itself: a 2431 occurrence (b,d,c,a), or a 2413 occurrence
     (b,d,a,c) with no e > c positioned between a and c."""
     sigma = tuple(word)
-    tau = revstack_sort_sim(sigma)
+    return _witnesses(sigma, revstack_sort_sim(sigma))
+
+
+def _witnesses(sigma: Word, tau: Word) -> SortedPatternReport:
+    """check_sorted_132_witnesses for sigma, given tau = T(sigma)."""
     n = len(sigma)
     pos = positions(sigma)
     witnesses = []

@@ -78,6 +78,23 @@ def precedence_by_value_pairs(w, t):
     return True
 
 
+def gamma_vector(coeffs):
+    """The gamma-vector of the polynomial sum_i coeffs[i] t^i, palindromic
+    about d / 2 with d = len(coeffs) - 1: the gamma_j with
+    sum_j gamma_j t^j (1 + t)^(d - 2j) equal to it, peeled off from the
+    lowest degree.  Asserts that nothing is left over."""
+    rest = list(coeffs)
+    d = len(rest) - 1
+    gamma = []
+    for j in range(d // 2 + 1):
+        g = rest[j]
+        gamma.append(g)
+        for i in range(d - 2 * j + 1):
+            rest[j + i] -= g * math.comb(d - 2 * j, i)
+    assert not any(rest), coeffs
+    return gamma
+
+
 def _fraction_sign(f, x):
     value = f(x)
     return (value > 0) - (value < 0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import precedence_by_value_pairs, scan_zigzag, walk_patterns
+from oracles import gamma_vector, precedence_by_value_pairs, scan_zigzag, walk_patterns
 from revstack.enumeration import (
     CACHE_FORMAT_VERSION,
     SORTERS,
@@ -248,6 +248,23 @@ class TestSplitKernel:
             total = [s + c for s, c in zip(total, coeffs)]
         assert [0, *total] == list(eulerian_poly(a).coeffs)
 
+    @pytest.mark.parametrize("a", [*range(1, 11), pytest.param(11, marks=pytest.mark.extended)])
+    def test_fibres_are_gamma_nonnegative(self, a):
+        # valley hopping acts on each fibre of S, so each fibre's descent
+        # polynomial has a nonnegative gamma-vector (Branden, 2008); the
+        # distinct polynomials are few (122 at a = 10)
+        mask = (1 << _BITS) - 1
+        for poly in set(_patterns(a).values()):
+            coeffs = [(poly >> (_BITS * j)) & mask for j in range(a)]
+            assert min(gamma_vector(coeffs)) >= 0, coeffs
+
+    def test_gamma_vector(self):
+        # 1 + 11t + 11t^2 + t^3 = (1 + t)^3 + 8t(1 + t)
+        assert gamma_vector([1, 11, 11, 1]) == [1, 8]
+        assert gamma_vector([0, 1, 0]) == [0, 1]
+        with pytest.raises(AssertionError):
+            gamma_vector([1, 2])
+
     def test_packed_coefficients_hold_the_largest_count(self):
         # a table coefficient counts at most n! permutations
         assert math.factorial(enumeration.MAX_N) < 1 << _BITS
@@ -318,6 +335,27 @@ class TestSplitKernel:
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "True"]
+
+    def test_only_a_pooled_sweep_loads_the_pool_machinery(self):
+        # a fresh interpreter, since pytest's own may hold multiprocessing:
+        # the S_8 table is serial at any jobs (the arrays pool from m = 9 and
+        # the table shards from n = 11), and verify_theorems(5, 2) pools
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            from revstack import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["table", "--n", "8", "--no-cache", "--jobs", "2"])
+            print(code, "concurrent.futures" in sys.modules, "multiprocessing" in sys.modules)
+            import revstack
+            revstack.verify_theorems(5, 2)
+            print("concurrent.futures.process" in sys.modules)
+        """)
+        src = Path(enumeration.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False", "True"]
 
 
 class TestDegreeArray:
@@ -590,6 +628,27 @@ class TestTheoremSuite:
             stack if (m, sorter) == (4, "stack") else real(m, sorter, jobs)))
         least = min(w for w in itertools.permutations(range(1, 6))
                     if stack_sort(w)[:-1] == target)
+        for jobs in (1, 2):
+            checks = {c.name: c for c in verify_theorems(5, jobs).checks}
+            walk = checks["degree bounds and iteration"]
+            assert not walk.ok
+            assert walk.counterexample == " ".join(map(str, least))
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_corrupted_revstack_array_fails_the_degree_walk(self, monkeypatch, delta):
+        # move the revstack degree of 1 3 2 4 (2) in the S_4 array by delta:
+        # every w in S_5 with T(w) = 1 3 2 4 5 is then read as needing one
+        # pass too many or too few, and the T-chain walk, which starts from
+        # the pass's own T(w), must report the least of them
+        target = (1, 3, 2, 4)
+        revstack = bytearray(_degree_array(4, "revstack"))
+        assert revstack[_rank(target)] >= 1
+        revstack[_rank(target)] += delta
+        real = enumeration._degree_array
+        monkeypatch.setattr(enumeration, "_degree_array", lambda m, sorter, jobs=1: (
+            revstack if (m, sorter) == (4, "revstack") else real(m, sorter, jobs)))
+        least = min(w for w in itertools.permutations(range(1, 6))
+                    if revstack_sort_sim(w)[:-1] == target)
         for jobs in (1, 2):
             checks = {c.name: c for c in verify_theorems(5, jobs).checks}
             walk = checks["degree bounds and iteration"]
