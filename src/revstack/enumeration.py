@@ -369,25 +369,15 @@ def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, d
 
 
 def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    # One walk along the T-chain and one along the S-chain: not the identity
-    # before each of the first deg passes, the identity after them.  The
-    # first pass is the given T(w) or S(w), which the operator identities
-    # check.  Both operators fix the identity, so with deg <= n-1 this also
-    # gives X^(n-1)(w) = id.
-    for deg, x, sort in ((deg_t, t, revstack_sort_sim), (deg_s, s, stack_sort_sim)):
-        if deg > max(0, len(w) - 1):
-            return False
-        if deg == 0:
-            x = w
-        elif is_identity(w):
-            return False
-        for _ in range(deg - 1):
-            if is_identity(x):
-                return False
-            x = sort(x)
-        if not is_identity(x):
-            return False
-    return True
+    # deg(w) = 1 + deg(X(w)) for every w but the identity, whose degree is
+    # 0, so one degree walk from the given T(w) and S(w), which the operator
+    # identities check, confirms each degree.  Both operators fix the
+    # identity, so with deg <= n-1 this also gives X^(n-1)(w) = id.
+    if is_identity(w):
+        return deg_t == deg_s == 0
+    bound = len(w) - 1
+    return (0 < deg_t <= bound and 0 < deg_s <= bound
+            and deg_revstack(t) == deg_t - 1 and deg_stack(s) == deg_s - 1)
 
 
 def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:

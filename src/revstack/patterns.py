@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -88,19 +89,9 @@ def parse_pattern(text: str) -> PatternSpec:
     if not parts:
         raise ValueError("empty pattern")
     if len(parts) == 1 and (len(parts[0]) > 1 or parts[0].endswith("!")):
-        token = parts[0]
-        parts = []
-        i = 0
-        while i < len(token):
-            if not token[i].isdigit():
-                raise ValueError(f"cannot parse pattern from {text!r}")
-            j = i + 1
-            if j < len(token) and token[j] == "!":
-                parts.append(token[i] + "!")
-                i = j + 1
-            else:
-                parts.append(token[i])
-                i = j
+        if not re.fullmatch(r"(\d!?)+", parts[0]):
+            raise ValueError(f"cannot parse pattern from {text!r}")
+        parts = re.findall(r"\d!?", parts[0])
     letters = []
     barred = None
     for k, p in enumerate(parts, start=1):
@@ -286,31 +277,24 @@ def check_sorted_132_witnesses(word: Sequence[int]) -> SortedPatternReport:
 
 
 def _witnesses(sigma: Word, tau: Word) -> SortedPatternReport:
-    """check_sorted_132_witnesses for sigma, given tau = T(sigma)."""
-    n = len(sigma)
+    """check_sorted_132_witnesses for sigma, given tau = T(sigma).  For a
+    132 occurrence (a,c,b) of tau, d is the least value above c in sigma
+    strictly between b and c (2431), or else, when no value above c lies
+    between a and c, strictly between b and a (2413)."""
     pos = positions(sigma)
     witnesses = []
-    for i, j, k in itertools.combinations(range(n), 3):
-        a, c, b = tau[i], tau[j], tau[k]
+    for a, c, b in itertools.combinations(tau, 3):
         if not a < b < c:
             continue
         pa, pb, pc = pos[a], pos[b], pos[c]
-        found = None
         if pb < pc < pa:
-            for d in range(c + 1, n + 1):
-                if pb < pos[d] < pc:
-                    found = SortedPatternWitness((a, c, b), "2431", d)
-                    break
-        if found is None and pb < pa < pc:
-            blocked = any(
-                e > c and pa < pos[e] < pc for e in range(c + 1, n + 1)
-            )
-            if not blocked:
-                for d in range(c + 1, n + 1):
-                    if pb < pos[d] < pa:
-                        found = SortedPatternWitness((a, c, b), "2413-unextendable", d)
-                        break
-        if found is None:
+            kind, between = "2431", sigma[pb:pc - 1]
+        elif pb < pa < pc and max(sigma[pa:pc - 1], default=0) < c:
+            kind, between = "2413-unextendable", sigma[pb:pa - 1]
+        else:
+            kind, between = "", ()
+        d = min((v for v in between if v > c), default=0)
+        if not d:
             return SortedPatternReport(False, tuple(witnesses), (a, c, b))
-        witnesses.append(found)
+        witnesses.append(SortedPatternWitness((a, c, b), kind, d))
     return SortedPatternReport(True, tuple(witnesses))

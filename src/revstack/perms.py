@@ -19,7 +19,7 @@ cross-checks them exhaustively.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Word = tuple[int, ...]
 
@@ -199,25 +199,24 @@ def iterate_stack(word: Sequence[int], t: int) -> Word:
     return w
 
 
+def _walk(w: Sequence[int], sort: Callable[[Sequence[int]], Word]) -> int:
+    """Minimal t with sort^t(w) = identity."""
+    d = 0
+    while not is_identity(w):
+        w = sort(w)
+        d += 1
+    return d
+
+
 def deg_revstack(word: Sequence[int]) -> int:
     """Minimal t with T^t(word) = identity.  Always <= n - 1.
 
     >>> deg_revstack((2, 4, 1, 3, 5))
     3
     """
-    w = tuple(word)
-    d = 0
-    while not is_identity(w):
-        w = revstack_sort_sim(w)
-        d += 1
-    return d
+    return _walk(word, revstack_sort_sim)
 
 
 def deg_stack(word: Sequence[int]) -> int:
     """Minimal t with S^t(word) = identity.  Always <= n - 1."""
-    w = tuple(word)
-    d = 0
-    while not is_identity(w):
-        w = stack_sort_sim(w)
-        d += 1
-    return d
+    return _walk(word, stack_sort_sim)

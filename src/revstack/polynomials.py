@@ -100,7 +100,7 @@ class IntPoly:
         return format_poly(self)
 
 
-def format_poly(p: IntPoly, var: str = "x") -> str:
+def format_poly(p: IntPoly) -> str:
     """Human form with descending powers: "x^5 + 25x^4 + ... + x"."""
     if p.is_zero():
         return "0"
@@ -113,9 +113,9 @@ def format_poly(p: IntPoly, var: str = "x") -> str:
         if k == 0:
             body = str(mag)
         elif k == 1:
-            body = f"{var}" if mag == 1 else f"{mag}{var}"
+            body = "x" if mag == 1 else f"{mag}x"
         else:
-            body = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
+            body = f"x^{k}" if mag == 1 else f"{mag}x^{k}"
         terms.append(("- " if c < 0 else "+ ") + body)
     head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
     return " ".join([head] + terms[1:])

@@ -163,12 +163,12 @@ class RootInterval:
         }
 
 
-def format_decimal(x: Fraction, places: int = 5) -> str:
-    """Round half-even to a fixed number of decimal places."""
+def format_decimal(x: Fraction) -> str:
+    """Round half-even to five decimal places."""
     with localcontext() as ctx:
         ctx.prec = 60
         d = Decimal(x.numerator) / Decimal(x.denominator)
-        q = d.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
+        q = d.quantize(Decimal("0.00001"), rounding=ROUND_HALF_EVEN)
     return str(q)
 
 

@@ -23,7 +23,9 @@ side of b and the bound of window(a) on the other are greater than b, so
 window(b) is inside window(a).  By induction the entries of a class from
 cls[i] on all lie in window(cls[i]), which holds no value above cls[i],
 so nothing interrupts them; conversely a value above cls[i] between cls[i]
-and cls[i + 1] interrupts that pair.  _window_dp runs a DP on it.
+and cls[i + 1] interrupts that pair.  _interrupted reads it off the windows
+(_windows), and _window_dp runs a DP on it; the definition above is the
+tests' oracle.
 
 Plain zigzags come from a greedy chain per pivot (_chain).  Uninterrupted
 ones come from one loop of starts (_starts): each z_0, z_1 and z_2 in
@@ -71,17 +73,12 @@ def is_zigzag(word: Sequence[int], values: Sequence[int]) -> bool:
 
 
 def _interrupted(word: Sequence[int], values: Sequence[int]) -> bool:
-    n = len(word)
-    pos = {v: i for i, v in enumerate(word, start=1)}
-    for cls in (values[1::2], values[2::2]):
-        # cls is listed in decreasing value order; the pair condition for
-        # element cls[i] covers the positional span of cls[i:] as a whole.
-        for i in range(len(cls) - 1):
-            suffix = [pos[v] for v in cls[i:]]
-            lo, hi = min(suffix), max(suffix)
-            if any(lo < pos[c] < hi for c in range(cls[i] + 1, n + 1)):
-                return True
-    return False
+    """Whether some entry of a parity class lies outside the window of the
+    previous entry of its class (the window lemma)."""
+    left, right = _windows(word)
+    pos = {v: p for p, v in enumerate(word)}
+    return any(not left[pos[a]] < pos[b] < right[pos[a]]
+               for cls in (values[1::2], values[2::2]) for a, b in zip(cls, cls[1:]))
 
 
 def is_interrupted(word: Sequence[int], zigzag: Zigzag | Sequence[int]) -> bool:

@@ -7,7 +7,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from revstack.perms import descents, revstack_sort_sim, stack_sort_sim
+from revstack.patterns import SortedPatternReport, SortedPatternWitness
+from revstack.perms import descents, positions, revstack_sort_sim, stack_sort_sim
 from revstack.polynomials import IntPoly
 from revstack.roots import (
     RootInterval,
@@ -17,7 +18,7 @@ from revstack.roots import (
     square_free_parts,
     sturm_chain,
 )
-from revstack.zigzag import Zigzag, _interrupted
+from revstack.zigzag import Zigzag
 
 
 def walk_patterns(a, sorter, bits):
@@ -32,6 +33,22 @@ def walk_patterns(a, sorter, bits):
     return polys
 
 
+def interrupted_by_definition(word, values):
+    """Whether some same-parity pair (z_i, z_j), i < j, of the zigzag values
+    is straddled in position by a value c > z_i: for each entry of a
+    parity class, any larger value inside the positional span of that
+    entry and the later entries of its class."""
+    n = len(word)
+    pos = {v: i for i, v in enumerate(word, start=1)}
+    for cls in (values[1::2], values[2::2]):
+        for i in range(len(cls) - 1):
+            suffix = [pos[v] for v in cls[i:]]
+            lo, hi = min(suffix), max(suffix)
+            if any(lo < pos[c] < hi for c in range(cls[i] + 1, n + 1)):
+                return True
+    return False
+
+
 def scan_zigzag(word, k, uninterrupted=False):
     """The lexicographically largest (uninterrupted) k-zigzag of word, or
     None: the first decreasing value subset of size k + 2, in descending
@@ -42,7 +59,7 @@ def scan_zigzag(word, k, uninterrupted=False):
     for sub in itertools.combinations(sorted(w, reverse=True), k + 2):
         p0 = pos[sub[0]]
         if all((pos[sub[i]] > p0) == (i % 2 == 1) for i in range(1, k + 2)):
-            interrupted = _interrupted(w, sub)
+            interrupted = interrupted_by_definition(w, sub)
             if not (uninterrupted and interrupted):
                 return Zigzag(sub, interrupted)
     return None
@@ -53,6 +70,38 @@ def scan_degree(word, uninterrupted=False):
     there is none."""
     return max((k for k in range(len(word)) if scan_zigzag(word, k, uninterrupted)),
                default=-1)
+
+
+def witnesses_by_definition(sigma, tau):
+    """patterns._witnesses by value loops: for each 132 occurrence (a, c, b)
+    of tau, by index triples, the least d > c positioned strictly between b
+    and c in sigma (2431), or else, when no e > c sits between a and c,
+    strictly between b and a (2413)."""
+    n = len(sigma)
+    pos = positions(sigma)
+    witnesses = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        a, c, b = tau[i], tau[j], tau[k]
+        if not a < b < c:
+            continue
+        pa, pb, pc = pos[a], pos[b], pos[c]
+        found = None
+        if pb < pc < pa:
+            for d in range(c + 1, n + 1):
+                if pb < pos[d] < pc:
+                    found = SortedPatternWitness((a, c, b), "2431", d)
+                    break
+        if found is None and pb < pa < pc:
+            blocked = any(pa < pos[e] < pc for e in range(c + 1, n + 1))
+            if not blocked:
+                for d in range(c + 1, n + 1):
+                    if pb < pos[d] < pa:
+                        found = SortedPatternWitness((a, c, b), "2413-unextendable", d)
+                        break
+        if found is None:
+            return SortedPatternReport(False, tuple(witnesses), (a, c, b))
+        witnesses.append(found)
+    return SortedPatternReport(True, tuple(witnesses))
 
 
 def precedence_by_value_pairs(w, t):

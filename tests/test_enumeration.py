@@ -714,6 +714,26 @@ class TestTheoremSuite:
         results = _check_closed_forms(6, tables["revstack"], tables["stack"])
         assert {c.name: c.counterexample for c in results if not c.ok} == expected
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_degree_walk_rejects_every_wrong_degree(self, n):
+        # each clause of the walk on its own: the true degrees pass, a
+        # degree one off fails (so does the identity read as unsorted), and
+        # so does degree n with an image of degree n - 1 given for T(w)
+        pred = enumeration._pred_degree_iteration
+        perms_n = list(itertools.permutations(range(1, n + 1)))
+        for w in perms_n:
+            s, t = stack_sort_sim(w), revstack_sort_sim(w)
+            dt, ds = deg_revstack(w), deg_stack(w)
+            assert pred(w, s, t, 0, dt, ds)
+            for delta in (-1, 1):
+                assert not pred(w, s, t, 0, dt + delta, ds)
+                assert not pred(w, s, t, 0, dt, ds + delta)
+        slowest = max(perms_n, key=deg_revstack)
+        assert deg_revstack(slowest) == n - 1
+        if n >= 2:
+            w = perms_n[-1]
+            assert not pred(w, stack_sort_sim(w), slowest, 0, n, deg_stack(w))
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_precedence_lemmas_match_the_value_pair_form(self, n):
         # with T(w) every w passes; with its first two entries swapped,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import witnesses_by_definition
 from revstack.patterns import (
     PATTERN_132,
     REVSTACK_T2_BARRED,
@@ -11,6 +12,7 @@ from revstack.patterns import (
     Occurrence,
     PatternSpec,
     _occurrences,
+    _witnesses,
     check_sorted_132_witnesses,
     contains_barred,
     contains_classical,
@@ -18,7 +20,7 @@ from revstack.patterns import (
     is_member_T2,
     parse_pattern,
 )
-from revstack.perms import deg_revstack, deg_stack
+from revstack.perms import deg_revstack, deg_stack, revstack_sort_sim
 
 
 def all_perms(n):
@@ -86,6 +88,9 @@ class TestPatternSpec:
     def test_rejects(self):
         with pytest.raises(ValueError):
             parse_pattern("1! 2!")
+        # str.isdigit accepts "²", but it is no decimal digit
+        with pytest.raises(ValueError, match="cannot parse pattern from '1²'"):
+            parse_pattern("1²")
         with pytest.raises(ValueError):
             PatternSpec((1, 1))
         with pytest.raises(ValueError):
@@ -250,3 +255,17 @@ class TestSorted132Witnesses:
         for n in range(7):
             for w in all_perms(n):
                 assert check_sorted_132_witnesses(w).holds
+
+    def test_matches_the_definition_on_every_pair(self):
+        # every (sigma, tau) in S_n x S_n, so most pairs take the failing
+        # path and report a failed triple
+        for n in range(6):
+            for sigma in all_perms(n):
+                for tau in all_perms(n):
+                    assert _witnesses(sigma, tau) == witnesses_by_definition(sigma, tau)
+
+    def test_matches_the_definition_on_sorted_images(self):
+        for n in range(8):
+            for w in all_perms(n):
+                t = revstack_sort_sim(w)
+                assert _witnesses(w, t) == witnesses_by_definition(w, t), w

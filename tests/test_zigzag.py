@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_degree, scan_zigzag
+from oracles import interrupted_by_definition, scan_degree, scan_zigzag
 from revstack.patterns import contains_classical, parse_pattern
 from revstack.perms import deg_revstack, is_identity
 from revstack.zigzag import (
@@ -182,7 +182,9 @@ class TestWindowLemma:
         for n in range(1, 8):
             for w in all_perms(n):
                 for z in all_zigzags(w):
-                    assert window_condition(w, z) == (not _interrupted(w, z)), (w, z)
+                    interrupted = interrupted_by_definition(w, z)
+                    assert window_condition(w, z) == (not interrupted), (w, z)
+                    assert _interrupted(w, z) == interrupted, (w, z)
 
     def test_zigzag_enumeration_is_complete(self):
         for n in range(1, 6):
@@ -207,11 +209,17 @@ class TestFastDegrees:
                 assert max_zigzag_degree(w) == brute_z
 
     def test_degrees_of_words_that_are_not_permutations(self):
-        # any word of distinct values: only the relative order counts
+        # any word of distinct values: only the relative order counts,
+        # for the interruption flag as well
         for w in all_perms(6):
             word = tuple(10 * v - 25 for v in w)
             assert zigzag_degrees(word) == zigzag_degrees(w)
             assert max_zigzag_degree(word) == max_zigzag_degree(w)
+            for k in range(6):
+                z, scaled = find_zigzag(w, k), find_zigzag(word, k)
+                assert (z is None) == (scaled is None)
+                if z is not None:
+                    assert scaled.interrupted == z.interrupted
 
     def test_uninterrupted_agrees_with_scan_n8(self):
         for w in all_perms(8):
