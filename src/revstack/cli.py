@@ -4,6 +4,10 @@ Verbs: sort, degree, pattern, zigzag, poly, table, verify, roots, count,
 appendix.  Output is plain text by default; --format json emits the
 schema-stable JSON forms, and --format csv is available for tables.
 
+`verify --suite all --n N` runs every suite at every size 1..N, all
+reading one memo of descent tables, and prints one PASS/FAIL line per
+suite and size.  `count --what zigzag-free` without --k prints every k.
+
 Exit status: 0 success / verified, 1 verification failure or mismatch,
 2 usage error, including an unreadable or malformed input file.
 """
@@ -14,7 +18,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import enumeration, patterns, zigzag
 from .perms import (  # deg_revstack stays bound here for the perfbench tracer test
@@ -40,8 +44,6 @@ from .polynomials import (
     w_revstack_nm3,
 )
 from .roots import DEFAULT_WIDTH, real_roots
-
-VERIFY_SUITES = ("steingrimsson", "theorems", "classification")
 
 POLY_MAKERS = {
     "eulerian": eulerian_poly,
@@ -158,38 +160,103 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _show_steingrimsson(report) -> None:
+    print(f"sortable-set sizes for n={report.n}")
+    for row in report.rows:
+        rel = "<" if row.strict else "="
+        print(f"t={row.t}: stack {row.stack_count} {rel} revstack {row.revstack_count}")
+    print("VERIFIED" if report.ok else "FAILED")
+
+
+def _show_theorems(report) -> None:
+    for check in report.checks:
+        mark = "PASS" if check.ok else "FAIL"
+        extra = f"  ({check.counterexample})" if check.counterexample else ""
+        print(f"{mark} {check.name}{extra}")
+    print("VERIFIED" if report.ok else "FAILED")
+
+
+def _show_classification(report) -> None:
+    for name, size in report.sizes.items():
+        print(f"class {name}: {size} permutations")
+    print("VERIFIED" if report.ok else f"FAILED: {report.detail}")
+
+
+def _show_appendix(report) -> None:
+    print(f"coefficients enumerated for n in {list(report.enumerated_n)}; "
+          "roots checked for every listed entry")
+    for m in report.mismatches:
+        print(f"MISMATCH at (n={m.n}, t={m.t}): {m.what}")
+    print("VERIFIED" if report.ok else "FAILED")
+
+
+def _first_theorem(report) -> str:
+    check = next(c for c in report.checks if not c.ok)
+    return f"{check.name}  ({check.counterexample})" if check.counterexample else check.name
+
+
+def _first_row(report) -> str:
+    row = next(r for r in report.rows if not r.holds)
+    return (f"sortable-set sizes at t={row.t}: stack {row.stack_count}, "
+            f"revstack {row.revstack_count}")
+
+
+def _first_mismatch(report) -> str:
+    m = report.mismatches[0]
+    return f"reference table (n={m.n}, t={m.t}): {m.what}"
+
+
+class Suite(NamedTuple):
+    run: Callable       # (n, jobs, table) -> a report with .ok and .to_json()
+    show: Callable      # the single-suite plain output of a report
+    failure: Callable   # a failed report's first failing check, for `--suite all`
+    sizes: Callable     # N -> the sizes `--suite all --n N` runs
+
+
+# `--suite all` runs every suite, in this order; the appendix also has its own verb.
+SUITES = {
+    "theorems": Suite(lambda n, jobs, table: enumeration.verify_theorems(n, jobs, table),
+                      _show_theorems, _first_theorem, lambda top: range(1, top + 1)),
+    "steingrimsson": Suite(lambda n, jobs, table: enumeration.verify_steingrimsson(n, table),
+                           _show_steingrimsson, _first_row, lambda top: range(1, top + 1)),
+    "classification": Suite(lambda n, jobs, table: enumeration.classify_degree_nm2(n, table),
+                            _show_classification, lambda report: report.detail,
+                            lambda top: range(4, min(top, 10) + 1)),
+    "appendix": Suite(lambda n, jobs, table: enumeration.reproduce_appendix(
+                          enumerate_max_n=n, table=table),
+                      _show_appendix, _first_mismatch, lambda top: (top,)),
+}
+
+
 def _cmd_verify(args) -> int:
     table = functools.partial(enumeration.descent_table, jobs=args.jobs)
-    if args.suite == "steingrimsson":
-        report = enumeration.verify_steingrimsson(args.n, table)
+    if args.suite != "all":
+        suite = SUITES[args.suite]
+        report = suite.run(args.n, args.jobs, table)
         if args.format == "json":
             _print_json(report.to_json())
         else:
-            print(f"sortable-set sizes for n={args.n}")
-            for row in report.rows:
-                rel = "<" if row.strict else "="
-                print(f"t={row.t}: stack {row.stack_count} {rel} revstack {row.revstack_count}")
-            print("VERIFIED" if report.ok else "FAILED")
+            suite.show(report)
         return 0 if report.ok else 1
-    if args.suite == "theorems":
-        report = enumeration.verify_theorems(args.n, args.jobs, table)
-        if args.format == "json":
-            _print_json(report.to_json())
-        else:
-            for check in report.checks:
-                mark = "PASS" if check.ok else "FAIL"
-                extra = f"  ({check.counterexample})" if check.counterexample else ""
-                print(f"{mark} {check.name}{extra}")
-            print("VERIFIED" if report.ok else "FAILED")
-        return 0 if report.ok else 1
-    report = enumeration.classify_degree_nm2(args.n, table)
+    if not 1 <= args.n <= enumeration.MAX_N:
+        raise ValueError(f"--n must be within 1..{enumeration.MAX_N} (got {args.n})")
+    # One memo under every suite, so each (n, sorter) table is enumerated once.
+    table = functools.lru_cache(maxsize=None)(table)
+    ok = True
+    reports = []
+    for name, suite in SUITES.items():
+        for n in suite.sizes(args.n):
+            report = suite.run(n, args.jobs, table)
+            ok = ok and report.ok
+            reports.append({"suite": name, "n": n, "report": report.to_json()})
+            if args.format == "plain":
+                print(f"PASS {name} n={n}" if report.ok
+                      else f"FAIL {name} n={n}: {suite.failure(report)}")
     if args.format == "json":
-        _print_json(report.to_json())
+        _print_json({"ok": ok, "reports": reports})
     else:
-        for name, size in report.sizes.items():
-            print(f"class {name}: {size} permutations")
-        print("VERIFIED" if report.ok else f"FAILED: {report.detail}")
-    return 0 if report.ok else 1
+        print("VERIFIED" if ok else "FAILED")
+    return 0 if ok else 1
 
 
 def _cmd_roots(args) -> int:
@@ -212,19 +279,41 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.what == "zigzag-free":
-        if args.k is None:
-            raise ValueError("count zigzag-free requires --k")
-        if args.k < 0:
-            raise ValueError("k must be non-negative")
+    if args.what != "zigzag-free" and (args.k is not None or args.uninterrupted):
+        raise ValueError(f"count --what {args.what} takes neither --k nor --uninterrupted")
+    if args.uninterrupted and args.k is None:
+        raise ValueError("count --uninterrupted needs --k; without it every column is printed")
+    if args.what != "zigzag-free":
+        value = COUNT_MAKERS[args.what](args.n)
+    elif args.k is None:
+        return _print_zigzag_free(args)
+    elif args.k < 0:
+        raise ValueError("k must be non-negative")
+    else:
         counts = enumeration.zigzag_free_table(args.n, args.jobs)[min(args.k, args.n)]
         value = counts[2 if args.uninterrupted else 0]
-    else:
-        value = COUNT_MAKERS[args.what](args.n)
     if args.format == "json":
         _print_json({"what": args.what, "n": args.n, "count": value})
     else:
         print(value)
+    return 0
+
+
+def _print_zigzag_free(args) -> int:
+    """For each k in 0..n-1, the permutations with no k-zigzag, the
+    k-pass-sortable ones and those with no uninterrupted k-zigzag: the
+    outer columns bracket the middle one."""
+    counts = enumeration.zigzag_free_table(args.n, args.jobs)
+    rows = [(k, *counts[k]) for k in range(args.n)]
+    if args.format == "json":
+        _print_json({"what": args.what, "n": args.n, "rows": [
+            {"k": k, "no_zigzag": lo, "sortable": mid, "no_uninterrupted_zigzag": hi}
+            for k, lo, mid, hi in rows
+        ]})
+    else:
+        print("k  no-k-zigzag  k-pass-sortable  no-uninterrupted-k-zigzag")
+        for k, lo, mid, hi in rows:
+            print(f"{k}  {lo:>11}  {mid:>15}  {hi:>25}")
     return 0
 
 
@@ -240,11 +329,7 @@ def _cmd_appendix(args) -> int:
     if args.format == "json":
         _print_json(report.to_json())
     else:
-        print(f"coefficients enumerated for n in {list(report.enumerated_n)}; "
-              "roots checked for every listed entry")
-        for m in report.mismatches:
-            print(f"MISMATCH at (n={m.n}, t={m.t}): {m.what}")
-        print("VERIFIED" if report.ok else "FAILED")
+        _show_appendix(report)
     return 0 if report.ok else 1
 
 
@@ -306,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=VERIFY_SUITES, required=True)
+    p.add_argument("--suite", required=True,
+                   choices=("steingrimsson", "theorems", "classification", "all"),
+                   help="one suite at size n, or all: every suite at every size 1..N, "
+                        "the classification from 4 to min(N, 10), then the appendix "
+                        "coefficients up to N")
     p.add_argument("--n", type=int, required=True)
     add_common(p, jobs=True)
     p.set_defaults(func=_cmd_verify)
@@ -322,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="closed-form and zigzag-free counts")
     p.add_argument("--what", choices=sorted(COUNT_MAKERS) + ["zigzag-free"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None, help="zigzag degree (zigzag-free only)")
-    p.add_argument("--uninterrupted", action="store_true")
+    p.add_argument("--k", type=int, default=None,
+                   help="zigzag degree (zigzag-free only; without it, one row per k)")
+    p.add_argument("--uninterrupted", action="store_true", help="with --k: count no "
+                   "uninterrupted k-zigzag instead of no k-zigzag")
     add_common(p, jobs=True)
     p.set_defaults(func=_cmd_count)
 
@@ -350,6 +441,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # A check that fails inside a sweep, such as the zigzag bracketing.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

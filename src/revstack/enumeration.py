@@ -417,7 +417,7 @@ def _pred_stack_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t
 
 def _pred_sorted_132_witnesses(w: Word, s: Word, t: Word, des: int, deg_t: int,
                                deg_s: int) -> bool:
-    return patterns._witnesses(w, t).holds
+    return all(d for _, _, d in patterns._witnesses(w, t))
 
 
 def _pred_zigzag_bracketing(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
@@ -613,6 +613,7 @@ class SteingrimssonRow:
     t: int
     stack_count: int
     revstack_count: int
+    holds: bool  # stack <= revstack, strictly exactly when 2 < t < n-1
 
     @property
     def strict(self) -> bool:
@@ -651,9 +652,11 @@ def verify_steingrimsson(
     _check_n(n)
     table = table or descent_table
     rev, st = table(n, "revstack"), table(n, "stack")
-    rows = tuple(SteingrimssonRow(t, st.count(t), rev.count(t)) for t in range(n))
-    ok = all(r.stack_count <= r.revstack_count and r.strict == (2 < r.t < n - 1) for r in rows)
-    return SteingrimssonReport(n, rows, ok)
+    rows = []
+    for t in range(n):
+        s, r = st.count(t), rev.count(t)
+        rows.append(SteingrimssonRow(t, s, r, s <= r and (s < r) == (2 < t < n - 1)))
+    return SteingrimssonReport(n, tuple(rows), all(row.holds for row in rows))
 
 
 # -- the degree-(n-2) classification ----------------------------------------
@@ -819,7 +822,7 @@ def _zigzag_shard(n: int, first: int, prev: bytes) -> tuple[list[int], list[int]
         maxz, maxu = zigzag.zigzag_degrees(w)
         degree = _degree(w, revstack_sort_sim(w), prev)
         if not maxu < degree <= maxz + 1:
-            raise AssertionError(f"zigzag bracketing violated at {w}")
+            raise AssertionError(f"zigzag bracketing violated at {format_permutation(w)}")
         hz[maxz + 1] += 1
         hd[degree] += 1
         hu[maxu + 1] += 1

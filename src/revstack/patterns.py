@@ -100,7 +100,10 @@ def parse_pattern(text: str) -> PatternSpec:
                 raise ValueError("at most one barred letter is supported")
             barred = k
             p = p[:-1]
-        letters.append(int(p))
+        try:
+            letters.append(int(p))
+        except ValueError:
+            raise ValueError(f"cannot parse pattern from {text!r}") from None
     return PatternSpec(tuple(letters), barred)
 
 
@@ -273,16 +276,27 @@ def check_sorted_132_witnesses(word: Sequence[int]) -> SortedPatternReport:
     in word itself: a 2431 occurrence (b,d,c,a), or a 2413 occurrence
     (b,d,a,c) with no e > c positioned between a and c."""
     sigma = tuple(word)
-    return _witnesses(sigma, revstack_sort_sim(sigma))
+    return _report(sigma, revstack_sort_sim(sigma))
 
 
-def _witnesses(sigma: Word, tau: Word) -> SortedPatternReport:
-    """check_sorted_132_witnesses for sigma, given tau = T(sigma).  For a
-    132 occurrence (a,c,b) of tau, d is the least value above c in sigma
-    strictly between b and c (2431), or else, when no value above c lies
-    between a and c, strictly between b and a (2413)."""
-    pos = positions(sigma)
+def _report(sigma: Word, tau: Word) -> SortedPatternReport:
+    """check_sorted_132_witnesses for sigma, given tau = T(sigma): the
+    witnesses of _witnesses up to the first 132 occurrence that has none."""
     witnesses = []
+    for triple, kind, d in _witnesses(sigma, tau):
+        if not d:
+            return SortedPatternReport(False, tuple(witnesses), triple)
+        witnesses.append(SortedPatternWitness(triple, kind, d))
+    return SortedPatternReport(True, tuple(witnesses))
+
+
+def _witnesses(sigma: Word, tau: Word) -> Iterator[tuple[Word, str, int]]:
+    """(triple, kind, d) for each 132 occurrence triple = (a,c,b) of tau, in
+    the order of its positions.  d is the least value above c in sigma
+    strictly between b and c (kind 2431), or else, when no value above c
+    lies between a and c, strictly between b and a (2413); d is 0, and
+    kind empty, when there is no witness."""
+    pos = positions(sigma)
     for a, c, b in itertools.combinations(tau, 3):
         if not a < b < c:
             continue
@@ -293,8 +307,4 @@ def _witnesses(sigma: Word, tau: Word) -> SortedPatternReport:
             kind, between = "2413-unextendable", sigma[pb:pa - 1]
         else:
             kind, between = "", ()
-        d = min((v for v in between if v > c), default=0)
-        if not d:
-            return SortedPatternReport(False, tuple(witnesses), (a, c, b))
-        witnesses.append(SortedPatternWitness((a, c, b), kind, d))
-    return SortedPatternReport(True, tuple(witnesses))
+        yield (a, c, b), kind, min((v for v in between if v > c), default=0)

@@ -71,17 +71,13 @@ def parse_permutation(text: str) -> Word:
     if not text:
         return ()
     parts = text.split()
-    if len(parts) == 1 and len(parts[0]) > 1:
-        if not parts[0].isdigit():
-            raise ValueError(f"cannot parse permutation from {text!r}")
-        word = tuple(int(ch) for ch in parts[0])
-        if len(word) > 9:
-            raise ValueError("compact digit form only supports n <= 9")
-    else:
-        try:
-            word = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"cannot parse permutation from {text!r}") from None
+    compact = len(parts) == 1 and len(parts[0]) > 1
+    try:
+        word = tuple(int(p) for p in (parts[0] if compact else parts))
+    except ValueError:
+        raise ValueError(f"cannot parse permutation from {text!r}") from None
+    if compact and len(word) > 9:
+        raise ValueError("compact digit form only supports n <= 9")
     return check_permutation(word)
 
 

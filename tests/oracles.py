@@ -73,7 +73,7 @@ def scan_degree(word, uninterrupted=False):
 
 
 def witnesses_by_definition(sigma, tau):
-    """patterns._witnesses by value loops: for each 132 occurrence (a, c, b)
+    """patterns._report by value loops: for each 132 occurrence (a, c, b)
     of tau, by index triples, the least d > c positioned strictly between b
     and c in sigma (2431), or else, when no e > c sits between a and c,
     strictly between b and a (2413)."""

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from revstack import enumeration
+from revstack import enumeration, zigzag
 from revstack.cli import main
 from revstack.perms import parse_permutation
 from revstack.polynomials import IntPoly
@@ -111,10 +111,57 @@ class TestPolyAndCount:
         assert out.strip() == "42"
 
     def test_zigzag_free_requires_k(self, capsys):
-        status = main(["count", "--what", "zigzag-free", "--n", "5"])
-        err = capsys.readouterr().err
+        # one column needs its k; without --k every column is printed
+        status = main(["count", "--what", "zigzag-free", "--n", "5", "--uninterrupted"])
+        captured = capsys.readouterr()
         assert status == 2
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_zigzag_free_without_k_prints_every_k(self, capsys):
+        status, out = run(capsys, "count", "--what", "zigzag-free", "--n", "5", "--jobs", "1")
+        lines = out.splitlines()
+        assert status == 0
+        assert lines[0].split() == ["k", "no-k-zigzag", "k-pass-sortable",
+                                    "no-uninterrupted-k-zigzag"]
+        assert [line.split()[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+        # k = n - 1: every permutation of S_5 is counted in all three columns
+        assert lines[-1].split() == ["4", "120", "120", "120"]
+        # k = 1 agrees with the single-column form
+        assert lines[2].split()[1] == "42"
+        status, out = run(capsys, "count", "--what", "zigzag-free", "--n", "5", "--jobs", "1",
+                          "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert status == 0
+        assert [[r["k"], r["no_zigzag"], r["sortable"], r["no_uninterrupted_zigzag"]]
+                for r in rows] == [list(map(int, line.split())) for line in lines[1:]]
+
+    def test_zigzag_free_every_k_jobs_agree(self, capsys):
+        outputs = [run(capsys, "count", "--what", "zigzag-free", "--n", "6", "--jobs", jobs)
+                   for jobs in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--what", "stack-nm2", "--k", "3"],
+        ["--what", "stack-nm2", "--uninterrupted"],
+        ["--what", "revstack-nm3", "--k", "3", "--uninterrupted"],
+    ])
+    def test_closed_forms_reject_zigzag_flags(self, capsys, flags):
+        status = main(["count", "--n", "5", *flags])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_zigzag_bracketing_failure_exits_1(self, capsys, monkeypatch):
+        # a degree bound that every permutation but the identity breaks
+        monkeypatch.setattr(zigzag, "zigzag_degrees", lambda w: (-1, -1))
+        status = main(["count", "--what", "zigzag-free", "--n", "3", "--k", "1", "--jobs", "1"])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == "error: zigzag bracketing violated at 1 3 2\n"
 
     def test_zigzag_free_k_above_n_counts_everything(self, capsys):
         for flags in ((), ("--uninterrupted",)):
@@ -252,6 +299,88 @@ class TestVerify:
         ]
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0
+
+    def test_all_jobs_agree(self, capsys):
+        outputs = [run(capsys, "verify", "--suite", "all", "--n", "7", "--jobs", jobs)
+                   for jobs in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        status, out = outputs[0]
+        lines = out.splitlines()
+        assert status == 0
+        assert lines[0] == "PASS theorems n=1"
+        assert lines[-2:] == ["PASS appendix n=7", "VERIFIED"]
+        assert len(lines) == 7 + 7 + 4 + 1 + 1
+        assert all(line.startswith("PASS ") for line in lines[:-1])
+
+    def test_all_json(self, capsys):
+        status, out = run(capsys, "verify", "--suite", "all", "--n", "4", "--format", "json")
+        blob = json.loads(out)
+        assert status == 0
+        assert blob["ok"] is True
+        assert [(r["suite"], r["n"]) for r in blob["reports"]] == [
+            ("theorems", 1), ("theorems", 2), ("theorems", 3), ("theorems", 4),
+            ("steingrimsson", 1), ("steingrimsson", 2), ("steingrimsson", 3),
+            ("steingrimsson", 4), ("classification", 4), ("appendix", 4),
+        ]
+        assert blob["reports"][4]["report"]["rows"] == [
+            {"t": 0, "stack": 1, "revstack": 1, "strict": False}
+        ]
+
+    def test_all_reads_each_table_once(self, capsys, monkeypatch):
+        asked = []
+        table = enumeration.descent_table
+
+        def recording(n, sorter="revstack", jobs=None):
+            asked.append((n, sorter))
+            return table(n, sorter, jobs)
+
+        monkeypatch.setattr(enumeration, "descent_table", recording)
+        status, _ = run(capsys, "verify", "--suite", "all", "--n", "6", "--jobs", "1")
+        assert status == 0
+        assert len(asked) == len(set(asked))
+        assert set(asked) == {(n, s) for n in range(1, 7) for s in ("revstack", "stack")}
+
+    def test_all_fails_on_a_moved_cell(self, capsys, monkeypatch):
+        # one two-pass permutation of S_5 with two descents moved to degree 1
+        table = enumeration.descent_table
+
+        def corrupted(n, sorter="revstack", jobs=None):
+            real = table(n, sorter, jobs)
+            if (n, sorter) != (5, "revstack"):
+                return real
+            deg_des = [list(row) for row in real.deg_des]
+            deg_des[2][2] -= 1
+            deg_des[1][2] += 1
+            return enumeration.DescentTable(n, sorter, tuple(map(tuple, deg_des)))
+
+        monkeypatch.setattr(enumeration, "descent_table", corrupted)
+        status, out = run(capsys, "verify", "--suite", "all", "--n", "5", "--jobs", "1")
+        lines = out.splitlines()
+        assert status == 1
+        assert ("FAIL theorems n=5: one-pass row is the Narayana polynomial"
+                "  (revstack row t=1)") in lines
+        assert "FAIL steingrimsson n=5: sortable-set sizes at t=1: stack 42, revstack 43" in lines
+        assert [line for line in lines if line.startswith("FAIL appendix")] == [
+            "FAIL appendix n=5: reference table (n=5, t=1): coefficients"
+            " [0, 1, 10, 21, 10, 1] != reference [0, 1, 10, 20, 10, 1]"
+        ]
+        assert "PASS theorems n=4" in lines
+        assert lines[-1] == "FAILED"
+
+    @pytest.mark.parametrize("n", ["0", "-1", str(enumeration.MAX_N + 1)])
+    def test_all_rejects_sizes_outside_the_range(self, capsys, n):
+        status = main(["verify", "--suite", "all", "--n", n])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: --n must be within 1..{enumeration.MAX_N}"
+                                f" (got {n})\n")
+
+    @pytest.mark.extended
+    def test_all_n9(self, capsys):
+        status, out = run(capsys, "verify", "--suite", "all", "--n", "9", "--jobs", "2")
+        assert status == 0, out
+        assert out.splitlines()[-1] == "VERIFIED"
 
     def test_theorems_output_is_byte_stable(self, capsys):
         status, out = run(capsys, "verify", "--suite", "theorems", "--n", "7")
@@ -507,6 +636,19 @@ class TestUsageErrors:
         assert status == 2
         assert captured.out == ""
         assert captured.err == "error: empty pattern\n"
+
+    @pytest.mark.parametrize("text", ["²", "1 ²", "1²", "2 1 ²"])
+    @pytest.mark.parametrize("argv, what", [
+        (["pattern", "--pattern", "{}", "21"], "pattern"),
+        (["degree", "{}"], "permutation"),
+    ])
+    def test_unparseable_digits(self, capsys, text, argv, what):
+        # "²" is a digit to str.isdigit but not to int
+        status = main([arg.format(text) for arg in argv])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse {what} from {text!r}\n"
 
     @pytest.mark.parametrize("argv", [
         ["table", "--n", "3", "--no-cache"],
