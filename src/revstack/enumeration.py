@@ -32,10 +32,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import patterns, trees, zigzag
 from .perms import (
@@ -164,8 +162,7 @@ def _add_counts(shards) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*shards))
 
 
-@dataclass(frozen=True)
-class DescentTable:
+class DescentTable(NamedTuple):
     """Exact joint counts over S_n: deg_des[d][i] is the number of
     permutations needing exactly d passes and having i descents.
 
@@ -338,8 +335,7 @@ def cached_descent_table(
 
 # -- verification suites ----------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     counterexample: str = ""
@@ -351,8 +347,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     n: int
     checks: tuple[CheckResult, ...]
 
@@ -608,8 +603,7 @@ def verify_theorems(
     return SuiteReport(n, tuple(checks))
 
 
-@dataclass(frozen=True)
-class SteingrimssonRow:
+class SteingrimssonRow(NamedTuple):
     t: int
     stack_count: int
     revstack_count: int
@@ -620,8 +614,7 @@ class SteingrimssonRow:
         return self.stack_count < self.revstack_count
 
 
-@dataclass(frozen=True)
-class SteingrimssonReport:
+class SteingrimssonReport(NamedTuple):
     n: int
     rows: tuple[SteingrimssonRow, ...]
     ok: bool
@@ -661,8 +654,7 @@ def verify_steingrimsson(
 
 # -- the degree-(n-2) classification ----------------------------------------
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """One family of the degree-(n-2) classification: permutations LpR
     around the pivot value, with the left/right value sets fixed and an
     optional precedence constraint (u must precede v)."""
@@ -745,8 +737,7 @@ def degree_nm2_classes(n: int) -> list[ClassSpec]:
     return classes
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     n: int
     ok: bool
     sizes: dict
@@ -853,7 +844,7 @@ def load_reference_tables(path: Optional[str | Path] = None) -> list[dict]:
     for another format_version, missing or empty entries, or an entry that
     reproduce_appendix cannot read."""
     if path is None:
-        source = resources.files("revstack").joinpath("appendix_data.json")
+        source = Path(__file__).with_name("appendix_data.json")
     else:
         source = Path(path)
     blob = json.loads(source.read_text())
@@ -879,8 +870,7 @@ def load_reference_tables(path: Optional[str | Path] = None) -> list[dict]:
     return entries
 
 
-@dataclass(frozen=True)
-class AppendixMismatch:
+class AppendixMismatch(NamedTuple):
     n: int
     t: int
     what: str
@@ -889,8 +879,7 @@ class AppendixMismatch:
         return {"n": self.n, "t": self.t, "what": self.what}
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     enumerated_n: tuple[int, ...]
     mismatches: tuple[AppendixMismatch, ...]
 

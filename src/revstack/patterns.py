@@ -28,25 +28,30 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .perms import Word, positions, revstack_sort_sim
 
 
-@dataclass(frozen=True)
-class PatternSpec:
-    """A pattern word with at most one barred letter (1-based position)."""
-
+# A NamedTuple body may not define __new__, so PatternSpec validates in the
+# __new__ of a subclass of its fields.
+class _PatternFields(NamedTuple):
     letters: Word
     barred_index: Optional[int] = None
 
-    def __post_init__(self):
-        m = len(self.letters)
-        if sorted(self.letters) != list(range(1, m + 1)):
-            raise ValueError(f"pattern letters must form a permutation: {self.letters!r}")
-        if self.barred_index is not None and not 1 <= self.barred_index <= m:
-            raise ValueError(f"barred index {self.barred_index} out of range 1..{m}")
+
+class PatternSpec(_PatternFields):
+    """A pattern word with at most one barred letter (1-based position)."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters: Word, barred_index: Optional[int] = None):
+        m = len(letters)
+        if sorted(letters) != list(range(1, m + 1)):
+            raise ValueError(f"pattern letters must form a permutation: {letters!r}")
+        if barred_index is not None and not 1 <= barred_index <= m:
+            raise ValueError(f"barred index {barred_index} out of range 1..{m}")
+        return super().__new__(cls, letters, barred_index)
 
     @property
     def has_bar(self) -> bool:
@@ -67,8 +72,7 @@ class PatternSpec:
         )
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """A witness: strictly increasing 1-based positions and their values."""
 
     positions: Word
@@ -250,8 +254,7 @@ def is_member_S2(word: Sequence[int]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SortedPatternWitness:
+class SortedPatternWitness(NamedTuple):
     """Why one 132 occurrence of T(sigma) is inevitable: sigma contains a
     2431 pattern on (b,d,c,a), or a 2413 pattern on (b,d,a,c) admitting no
     e > c between a and c."""
@@ -264,8 +267,7 @@ class SortedPatternWitness:
         return {"triple": list(self.triple), "kind": self.kind, "d": self.d}
 
 
-@dataclass(frozen=True)
-class SortedPatternReport:
+class SortedPatternReport(NamedTuple):
     holds: bool
     witnesses: tuple[SortedPatternWitness, ...]
     failed_triple: Optional[Word] = None

@@ -19,18 +19,44 @@ The named polynomials:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator, Sequence
 
 
-@dataclass(frozen=True)
 class IntPoly:
-    """Dense exact-integer polynomial; coeffs[i] is the coefficient of x^i."""
+    """Dense exact-integer polynomial; coeffs[i] is the coefficient of x^i.
 
-    coeffs: tuple[int, ...]
+    An immutable value, equal only to an IntPoly with the same coeffs.  It
+    is not a tuple subclass: that would take tuple's len, and pickling
+    would rebuild it through the overridden __iter__."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle's default would restore the slot through __setattr__
+        return self.__class__, (self.coeffs,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPoly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(coeffs: Sequence[int]) -> "IntPoly":

@@ -20,10 +20,9 @@ Reported decimal approximations are rounded half-even to five places.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import IntPoly
 
@@ -135,8 +134,7 @@ def cauchy_bound(f: IntPoly) -> int:
     return 2 + max(map(abs, rest), default=0) // abs(lead)
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     """One isolated real root: lo == hi for an exact rational root, and
     otherwise the root lies strictly between lo and hi."""
 
@@ -172,8 +170,7 @@ def format_decimal(x: Fraction) -> str:
     return str(q)
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     all_real: bool
     nonpositive: bool
     roots: tuple[RootInterval, ...]
@@ -298,8 +295,7 @@ def real_roots(p: IntPoly, width: Fraction = DEFAULT_WIDTH) -> RootReport:
                       nonpositive=all(r.hi <= 0 for r in roots), roots=tuple(roots))
 
 
-@dataclass(frozen=True)
-class InterlacingReport:
+class InterlacingReport(NamedTuple):
     ok: bool
     detail: str = ""
 

@@ -15,14 +15,12 @@ only-child subtrees hanging off a balanced bottom portion of the tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .perms import Word
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     label: int
     left: Optional["Node"] = None
     right: Optional["Node"] = None
@@ -125,8 +123,7 @@ def vertex_indexing(t: Node) -> list[int]:
     return [node.label for node in _vertices(t)]
 
 
-@dataclass(frozen=True)
-class HStep:
+class HStep(NamedTuple):
     """The descent-raising construction applied to one word."""
 
     word: Word

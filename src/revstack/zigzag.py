@@ -37,14 +37,12 @@ k-zigzag, taking every entry as the largest value that still completes one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .perms import Word
 
 
-@dataclass(frozen=True)
-class Zigzag:
+class Zigzag(NamedTuple):
     values: Word
     interrupted: bool
 

@@ -3,9 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from revstack.enumeration import (
     verify_theorems,
     zigzag_free_table,
 )
-from revstack import enumeration, patterns, trees
+from revstack import enumeration, patterns, roots, trees, zigzag
 from revstack.perms import (
     deg_revstack,
     deg_stack,
@@ -356,6 +358,23 @@ class TestSplitKernel:
                               text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False", "False", "True"]
+
+    def test_start_up_loads_no_dataclass_or_inspect_machinery(self):
+        # a fresh interpreter, since pytest's own holds inspect; under -S no
+        # site .pth file preloads importlib.resources either
+        code = textwrap.dedent("""
+            import sys
+            import revstack, revstack.cli
+            revstack.enumeration.load_reference_tables()
+            print(*(m in sys.modules for m in ("dataclasses", "inspect", "importlib.resources")))
+        """)
+        src = Path(enumeration.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        for flags, want in (([], ["False", "False"]), (["-S"], ["False", "False", "False"])):
+            proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split()[:len(want)] == want
 
 
 class TestDegreeArray:
@@ -920,3 +939,55 @@ def test_consumers_look_up_descent_table_when_called(monkeypatch):
         asked.clear()
         assert run().ok
         assert sorted(asked) == want
+
+
+RECORDS = [
+    (enumeration.DescentTable, dict(n=2, sorter="revstack", deg_des=((1, 0), (0, 1)))),
+    (enumeration.CheckResult, dict(name="operator identities", ok=False, counterexample="2 1")),
+    (enumeration.SuiteReport, dict(n=2, checks=(enumeration.CheckResult("x", True),))),
+    (enumeration.SteingrimssonRow, dict(t=1, stack_count=2, revstack_count=2, holds=True)),
+    (enumeration.SteingrimssonReport, dict(n=2, rows=(), ok=True)),
+    (enumeration.ClassSpec, dict(name="b", pivot=4, left_values=frozenset({1, 3}),
+                                 right_values=frozenset({2}), constraint=(3, 1))),
+    (enumeration.ClassificationReport, dict(n=4, ok=True, sizes={"b": 1}, detail="")),
+    (enumeration.AppendixMismatch, dict(n=3, t=1, what="roots not all real")),
+    (enumeration.AppendixReport, dict(enumerated_n=(3,), mismatches=())),
+    (patterns.PatternSpec, dict(letters=(1, 3, 2), barred_index=2)),
+    (patterns.Occurrence, dict(positions=(1, 3), values=(2, 1))),
+    (patterns.SortedPatternWitness, dict(triple=(1, 3, 2), kind="2431", d=4)),
+    (patterns.SortedPatternReport, dict(holds=False, witnesses=(), failed_triple=(1, 3, 2))),
+    (roots.RootInterval, dict(lo=Fraction(-1), hi=Fraction(-1, 2), multiplicity=1)),
+    (roots.RootReport, dict(all_real=True, nonpositive=True, roots=())),
+    (roots.InterlacingReport, dict(ok=False, detail="ordering violated")),
+    (trees.Node, dict(label=2, left=trees.Node(1), right=None)),
+    (trees.HStep, dict(word=(1, 3, 2), result=(2, 3, 1), index=1, flipped_labels=(1,),
+                       flipped_indices=(1,))),
+    (zigzag.Zigzag, dict(values=(3, 1, 2), interrupted=False)),
+    (IntPoly, dict(coeffs=(0, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_frozen_values_with_field_reprs(cls, fields):
+    record = cls(**fields)
+    first = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, first, fields[first])
+    twin = cls(**fields)
+    assert record == twin and pickle.loads(pickle.dumps(record)) == record
+    if isinstance(fields.get("sizes"), dict):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+def test_int_poly_is_no_tuple_and_descent_table_count_is_no_tuple_count():
+    p = IntPoly((0, 1, 1))
+    copy = pickle.loads(pickle.dumps(p))
+    assert type(copy) is IntPoly and copy.coeffs == (0, 1, 1) and list(copy) == [0, 1, 1]
+    assert p != (0, 1, 1) and p != IntPoly((0, 1))
+    table = descent_table(4)
+    assert [table.count(t) for t in range(4)] == [1, 14, 22, 24]
