@@ -64,14 +64,14 @@ from .polynomials import (
 from .roots import RootReport, check_interlacing, real_roots
 from .trees import (
     Node,
+    TreeWalk,
     duality_f,
     g_map,
     h_details,
     in_order,
     injection_h,
-    post_order,
-    rpostorder,
     tree_of,
+    tree_walk,
 )
 from .enumeration import (
     DescentTable,

@@ -69,7 +69,9 @@ def _print_json(obj) -> None:
 def _cmd_sort(args) -> int:
     word = parse_permutation(args.perm)
     if args.op == "reverse":
-        out = reverse(word)
+        if args.times < 0:
+            raise ValueError("iteration count must be non-negative")
+        out = reverse(word) if args.times % 2 else word
     elif args.op == "stack":
         out = iterate_stack(word, args.times)
     else:

@@ -8,7 +8,8 @@ results are identical for any worker count.  Sweeps read a permutation's
 degree from the memoised byte array of S_(n-1) degrees (_degree_array),
 handed to each worker once.  The theorem suite and the zigzag counts
 shard by first element; the theorem pass computes T(w), S(w), the
-descent count and both degrees once per permutation and feeds them to
+descent count, both degrees and the readings of one walk of the
+decreasing tree (trees.tree_walk) once per permutation and feeds them to
 every per-permutation check, and each check reports the
 lexicographically least permutation it fails on.  Descent tables and
 the degree arrays shard by the position of n and make no sorting pass
@@ -43,10 +44,8 @@ from .perms import (
     deg_stack,
     format_permutation,
     is_identity,
-    revstack_sort,
     revstack_sort_sim,
     reverse,
-    stack_sort,
     stack_sort_sim,
 )
 from .polynomials import (
@@ -359,11 +358,15 @@ class SuiteReport(NamedTuple):
         return {"n": self.n, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
-def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    return stack_sort(w) == s and revstack_sort(w) == t and t == stack_sort_sim(reverse(w))
+def _pred_operator_identities(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                              walk: trees.TreeWalk) -> bool:
+    # The walk reads S and T by the recursions S(LnR) = S(L)S(R)n and
+    # T(LnR) = T(R)T(L)n; s and t come from the stack simulations.
+    return walk.s == s and walk.t == t and t == stack_sort_sim(reverse(w))
 
 
-def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
+def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                           walk: trees.TreeWalk) -> bool:
     # deg(w) = 1 + deg(X(w)) for every w but the identity, whose degree is
     # 0, so one degree walk from the given T(w) and S(w), which the operator
     # identities check, confirms each degree.  Both operators fix the
@@ -375,7 +378,8 @@ def _pred_degree_iteration(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_
             and deg_revstack(t) == deg_t - 1 and deg_stack(s) == deg_s - 1)
 
 
-def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
+def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                            walk: trees.TreeWalk) -> bool:
     # For x left of y in w, y precedes x in T(w) iff x > y or some value
     # between them exceeds y: (1) an inversion of w is never an inversion
     # of T(w); (2) a non-inversion flips iff some c > y sits between them;
@@ -395,55 +399,54 @@ def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg
     return True
 
 
-def _pred_deg1_is_132_avoidance(w: Word, s: Word, t: Word, des: int, deg_t: int,
-                                deg_s: int) -> bool:
+def _pred_deg1_is_132_avoidance(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                                walk: trees.TreeWalk) -> bool:
     return (deg_t <= 1) == (patterns.contains_classical(w, patterns.PATTERN_132) is None)
 
 
-def _pred_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t: int,
-                                deg_s: int) -> bool:
+def _pred_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                                walk: trees.TreeWalk) -> bool:
     return (deg_t <= 2) == patterns.is_member_T2(w)
 
 
 def _pred_stack_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t: int,
-                                      deg_s: int) -> bool:
+                                      deg_s: int, walk: trees.TreeWalk) -> bool:
     return (deg_s <= 2) == patterns.is_member_S2(w)
 
 
-def _pred_sorted_132_witnesses(w: Word, s: Word, t: Word, des: int, deg_t: int,
-                               deg_s: int) -> bool:
+def _pred_sorted_132_witnesses(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                               walk: trees.TreeWalk) -> bool:
     return all(d for _, _, d in patterns._witnesses(w, t))
 
 
-def _pred_zigzag_bracketing(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
+def _pred_zigzag_bracketing(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                            walk: trees.TreeWalk) -> bool:
     maxz, maxu = zigzag.zigzag_degrees(w)
     return maxu < deg_t <= maxz + 1
 
 
-def _pred_tree_traversals(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    tree = trees.tree_of(w)
+def _pred_tree_traversals(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                          walk: trees.TreeWalk) -> bool:
+    return walk.in_order == w and walk.s == s and walk.t == t and walk.right_edges == des
+
+
+def _pred_duality(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                  walk: trees.TreeWalk) -> bool:
+    # f(w) is read off the walk of w; f(f(w)), S(f(w)) and T(f(w)) off the
+    # walk of f(w), and f(reverse(w)) off the walk of reverse(w).
+    f = walk.f
+    f_walk = trees.tree_walk(f)
     return (
-        trees.in_order(tree) == w
-        and trees.post_order(tree) == s
-        and trees.rpostorder(tree) == t
-        and trees.right_edge_count(tree) == des
+        f_walk.f == w
+        and des + descents(f) == len(w) - 1
+        and f_walk.s == s
+        and f_walk.t == t
+        and walk.g == trees.tree_walk(reverse(w)).f == reverse(f)
     )
 
 
-def _pred_duality(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int) -> bool:
-    n = len(w)
-    f = trees.duality_f(w)
-    return (
-        trees.duality_f(f) == w
-        and des + descents(f) == n - 1
-        and stack_sort_sim(f) == s
-        and revstack_sort_sim(f) == t
-        and trees.g_map(w) == trees.duality_f(reverse(w)) == reverse(f)
-    )
-
-
-# Each predicate receives w with its precomputed S(w), T(w), descent count
-# and revstack/stack degrees.
+# Each predicate receives w with its precomputed S(w), T(w), descent count,
+# revstack/stack degrees and tree walk (trees.tree_walk).
 _PERMUTATION_CHECKS = (
     ("operator identities (recursion = simulation, T = S o rev)", _pred_operator_identities),
     ("degree bounds and iteration", _pred_degree_iteration),
@@ -477,8 +480,9 @@ def _check_shard(n: int, first: int, prev_t: bytes, prev_s: bytes) -> tuple:
         des = descents(w)
         deg_t = _degree(w, t, prev_t)
         deg_s = _degree(w, s, prev_s)
+        walk = trees.tree_walk(w)
         for name, pred in _PERMUTATION_CHECKS:
-            if name not in first_bad and not pred(w, s, t, des, deg_t, deg_s):
+            if name not in first_bad and not pred(w, s, t, des, deg_t, deg_s, walk):
                 first_bad[name] = format_permutation(w)
         if _INJECTION_CHECK not in first_bad and des <= (n - 3) // 2:
             h = trees.injection_h(w)

@@ -1,17 +1,23 @@
 """Decreasing binary trees and the descent-statistic bijections.
 
-``tree_of`` builds the unique decreasing binary tree whose in-order
-reading is the given word (the root carries the maximum; left/right
-subtrees come from the flanking subwords).  Post-order reading of that
-tree performs one stack-sort pass; reading right subtree, then left, then
-root (``rpostorder``) performs one revstack pass.  The number of right
-edges equals the number of descents.
+The decreasing binary tree of a word w = L n R has the maximum n at its
+root and the trees of L and R as its left and right subtrees, so its
+in-order reading is w.  ``tree_walk`` reads six things off that tree in
+one recursion on the maximum, building no node: the in-order word; one
+stack-sort pass S(w) = S(L)S(R)n (post-order); one revstack pass
+T(w) = T(R)T(L)n (right subtree, left subtree, root); the number of right
+edges, which equals des(w); and the two bijections below.
 
 ``duality_f`` is the descent-complementing involution (des(w) + des(f(w))
-= n-1) that preserves the image under both sorting operators; ``g_map`` is
-its conjugate by reversal.  ``injection_h`` raises the descent count by
-exactly one while preserving both sorting images, by flipping the
-only-child subtrees hanging off a balanced bottom portion of the tree.
+= n-1) that preserves the image under both sorting operators: it moves
+every lone child to the other side.  ``g_map`` is its conjugate by
+reversal: it swaps the two children of every node that has both.  Both
+are reads of ``tree_walk``.
+
+``tree_of`` builds the tree as ``Node`` records for ``injection_h``, which
+raises the descent count by exactly one while preserving both sorting
+images, by flipping the only-child subtrees hanging off a balanced bottom
+portion of the tree.
 """
 from __future__ import annotations
 
@@ -53,56 +59,60 @@ def in_order(t: Optional[Node]) -> Word:
     return in_order(t.left) + (t.label,) + in_order(t.right)
 
 
-def post_order(t: Optional[Node]) -> Word:
-    """Left, right, root: one stack-sort pass of the in-order word."""
-    if t is None:
-        return ()
-    return post_order(t.left) + post_order(t.right) + (t.label,)
+class TreeWalk(NamedTuple):
+    """Six readings of the decreasing binary tree of a word, from one walk."""
+
+    in_order: Word   # left, root, right: the word itself
+    s: Word          # left, right, root: one stack-sort pass S(w)
+    t: Word          # right, left, root: one revstack pass T(w)
+    f: Word          # a lone child moved to the other side: duality_f(w)
+    g: Word          # the two children of a full node swapped: g_map(w)
+    right_edges: int  # the number of right edges, which is des(w)
 
 
-def rpostorder(t: Optional[Node]) -> Word:
-    """Right, left, root: one revstack pass of the in-order word."""
-    if t is None:
-        return ()
-    return rpostorder(t.right) + rpostorder(t.left) + (t.label,)
+def _readings(w: Word) -> tuple:
+    """The TreeWalk fields of the non-empty word w, by one recursion on the
+    position i of its maximum m: w = m R (a lone right child), w = L m (a
+    lone left child) or w = L m R with both sides non-empty."""
+    if len(w) == 1:
+        return w, w, w, w, w, 0
+    m = max(w)
+    i = w.index(m)
+    top = (m,)
+    if i == 0:
+        a, s, t, f, g, r = _readings(w[1:])
+        return top + a, s + top, t + top, f + top, top + g, r + 1
+    if i == len(w) - 1:
+        a, s, t, f, g, r = _readings(w[:i])
+        return a + top, s + top, t + top, top + f, g + top, r
+    a, s, t, f, g, r = _readings(w[:i])
+    a2, s2, t2, f2, g2, r2 = _readings(w[i + 1:])
+    return a + top + a2, s + s2 + top, t2 + t + top, f + top + f2, g2 + top + g, r + r2 + 1
 
 
-def right_edge_count(t: Optional[Node]) -> int:
-    if t is None:
-        return 0
-    own = 1 if t.right is not None else 0
-    return own + right_edge_count(t.left) + right_edge_count(t.right)
+def tree_walk(word: Sequence[int]) -> TreeWalk:
+    """In-order, S, T, f, g and the right-edge count of the decreasing
+    binary tree of word, read in one walk that builds no Node.
+
+    >>> walk = tree_walk((4, 2, 5, 1, 3))
+    >>> walk.s, walk.t
+    ((2, 4, 1, 3, 5), (1, 3, 2, 4, 5))
+    >>> walk.f, walk.g, walk.right_edges
+    ((2, 4, 5, 3, 1), (1, 3, 5, 4, 2), 2)
+    """
+    w = tuple(word)
+    return TreeWalk._make(_readings(w)) if w else TreeWalk((), (), (), (), (), 0)
 
 
 def duality_f(word: Sequence[int]) -> Word:
-    """The descent-complementing involution, by the five-case recursion:
-    f(eps) = eps, f(x) = x, f(LnR) = f(L) n f(R) when both sides are
-    non-empty, f(Ln) = n f(L), and f(nR) = f(R) n."""
-    w = tuple(word)
-    if len(w) <= 1:
-        return w
-    i = w.index(max(w))
-    left, pivot, right = w[:i], w[i], w[i + 1:]
-    if left and right:
-        return duality_f(left) + (pivot,) + duality_f(right)
-    if left:
-        return (pivot,) + duality_f(left)
-    return duality_f(right) + (pivot,)
+    """The descent-complementing involution: des(w) + des(f(w)) = n - 1,
+    and f(w) has the S and T images of w."""
+    return tree_walk(word).f
 
 
 def g_map(word: Sequence[int]) -> Word:
-    """The reversal conjugate of duality_f: g(LnR) = g(R) n g(L) when both
-    sides are non-empty, g(Ln) = g(L) n, g(nR) = n g(R)."""
-    w = tuple(word)
-    if len(w) <= 1:
-        return w
-    i = w.index(max(w))
-    left, pivot, right = w[:i], w[i], w[i + 1:]
-    if left and right:
-        return g_map(right) + (pivot,) + g_map(left)
-    if left:
-        return g_map(left) + (pivot,)
-    return (pivot,) + g_map(right)
+    """The reversal conjugate of duality_f: g(w) = f(reverse(w)) = reverse(f(w))."""
+    return tree_walk(word).g
 
 
 def _vertices(t: Node) -> list[Node]:

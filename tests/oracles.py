@@ -33,6 +33,38 @@ def walk_patterns(a, sorter, bits):
     return polys
 
 
+def duality_f_by_cases(word):
+    """trees.duality_f by its five-case recursion on the maximum n:
+    f(eps) = eps, f(x) = x, f(LnR) = f(L) n f(R) when both sides are
+    non-empty, f(Ln) = n f(L), and f(nR) = f(R) n."""
+    w = tuple(word)
+    if len(w) <= 1:
+        return w
+    i = w.index(max(w))
+    left, pivot, right = w[:i], w[i], w[i + 1:]
+    if left and right:
+        return duality_f_by_cases(left) + (pivot,) + duality_f_by_cases(right)
+    if left:
+        return (pivot,) + duality_f_by_cases(left)
+    return duality_f_by_cases(right) + (pivot,)
+
+
+def g_map_by_cases(word):
+    """trees.g_map by its five-case recursion: g(eps) = eps, g(x) = x,
+    g(LnR) = g(R) n g(L) when both sides are non-empty, g(Ln) = g(L) n,
+    and g(nR) = n g(R)."""
+    w = tuple(word)
+    if len(w) <= 1:
+        return w
+    i = w.index(max(w))
+    left, pivot, right = w[:i], w[i], w[i + 1:]
+    if left and right:
+        return g_map_by_cases(right) + (pivot,) + g_map_by_cases(left)
+    if left:
+        return g_map_by_cases(left) + (pivot,)
+    return (pivot,) + g_map_by_cases(right)
+
+
 def interrupted_by_definition(word, values):
     """Whether some same-parity pair (z_i, z_j), i < j, of the zigzag values
     is straddled in position by a value c > z_i: for each entry of a

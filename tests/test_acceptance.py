@@ -43,7 +43,7 @@ from revstack.polynomials import (
     w_revstack_nm3,
 )
 from revstack.roots import check_interlacing, real_roots
-from revstack.trees import duality_f, g_map, h_details, post_order, rpostorder, tree_of
+from revstack.trees import duality_f, g_map, h_details, tree_walk
 from revstack.zigzag import zigzag_degrees
 
 
@@ -176,9 +176,9 @@ def test_criterion_7_tree_bijection_suite():
     preserved images, and the worked size-11 example reproduces exactly."""
     for n in range(1, 9):
         for w in all_perms(n):
-            t = tree_of(w)
-            assert post_order(t) == stack_sort_sim(w), w
-            assert rpostorder(t) == revstack_sort_sim(w), w
+            walk = tree_walk(w)
+            assert walk.s == stack_sort_sim(w), w
+            assert walk.t == revstack_sort_sim(w), w
             f = duality_f(w)
             assert duality_f(f) == w, w
             assert descents(w) + descents(f) == n - 1, w

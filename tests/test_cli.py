@@ -32,6 +32,20 @@ class TestSortAndDegree:
     def test_reverse_and_times(self, capsys):
         _, out = run(capsys, "sort", "--op", "reverse", "1 2 3")
         assert out.strip() == "3 2 1"
+        # the reversal is applied --times times: even counts give the word back
+        for times, want in (("0", "4 2 1 3"), ("1", "3 1 2 4"), ("2", "4 2 1 3"),
+                            ("3", "3 1 2 4")):
+            status, out = run(capsys, "sort", "--op", "reverse", "--times", times, "4213")
+            assert (status, out.strip()) == (0, want)
+        status, out = run(capsys, "sort", "--op", "reverse", "--times", "2", "--format", "json",
+                          "4213")
+        assert json.loads(out) == {"input": [4, 2, 1, 3], "op": "reverse", "times": 2,
+                                   "result": [4, 2, 1, 3]}
+        for op in ("reverse", "stack", "revstack"):
+            status = main(["sort", "--op", op, "--times", "-1", "4213"])
+            captured = capsys.readouterr()
+            assert (status, captured.out) == (2, "")
+            assert captured.err == "error: iteration count must be non-negative\n"
         _, out = run(capsys, "sort", "--op", "revstack", "--times", "2", "2 4 1 3 5")
         assert out.strip() == "2 1 3 4 5"
 

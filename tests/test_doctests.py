@@ -6,6 +6,7 @@ import revstack.patterns
 import revstack.perms
 import revstack.polynomials
 import revstack.roots
+import revstack.trees
 import revstack.zigzag
 
 
@@ -17,6 +18,7 @@ import revstack.zigzag
         revstack.zigzag,
         revstack.polynomials,
         revstack.roots,
+        revstack.trees,
     ],
     ids=lambda m: m.__name__,
 )

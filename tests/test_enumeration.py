@@ -44,6 +44,7 @@ from revstack.perms import (
     deg_stack,
     descents,
     is_identity,
+    revstack_sort,
     revstack_sort_sim,
     stack_sort,
     stack_sort_sim,
@@ -72,6 +73,28 @@ def catalan(n):
 def two_stack_sortable(n):
     """Zeilberger's count of two-stack-sortable permutations of size n."""
     return 2 * math.factorial(3 * n) // (math.factorial(n + 1) * math.factorial(2 * n + 1))
+
+
+def outside_calls(monkeypatch, fn):
+    """Replace fn in every revstack namespace that binds it by a wrapper
+    that counts the calls made from outside fn itself (a recursive fn calls
+    itself through the wrapper); returns the one-element count list."""
+    count, depth = [0], [0]
+
+    def counted(*args, **kwargs):
+        count[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if name == "revstack" or name.startswith("revstack."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return count
 
 
 def moved_cells(table, src, dst, col, k=1):
@@ -693,6 +716,41 @@ class TestTheoremSuite:
             "descent-raising injection": f"collision: {early} and {late} both map to {h(early)}",
         }
 
+    @pytest.mark.parametrize("reading", ["g for f", "S and T swapped", "one more right edge"])
+    def test_each_walk_reading_is_checked(self, monkeypatch, reading):
+        # one reading of the tree walk corrupted at a time: exactly the
+        # checks that read it fail, each at its least counterexample.  g
+        # keeps the descent count, so des(w) + des(f(w)) = n - 1 already
+        # fails at the identity, as does the right-edge count; swapped S and
+        # T show first at the least w with S(w) != T(w).
+        apart = " ".join(map(str, next(w for w in itertools.permutations(range(1, 6))
+                                       if stack_sort_sim(w) != revstack_sort_sim(w))))
+        mutate, expected = {
+            "g for f": (lambda r: r._replace(f=r.g),
+                        {"duality involution and conjugates": "1 2 3 4 5"}),
+            "S and T swapped": (lambda r: r._replace(s=r.t, t=r.s), {
+                "operator identities (recursion = simulation, T = S o rev)": apart,
+                "tree traversal identities": apart,
+                "duality involution and conjugates": apart,
+            }),
+            "one more right edge": (lambda r: r._replace(right_edges=r.right_edges + 1),
+                                    {"tree traversal identities": "1 2 3 4 5"}),
+        }[reading]
+        walk = trees.tree_walk
+        monkeypatch.setattr(trees, "tree_walk", lambda w: mutate(walk(w)))
+        report = verify_theorems(5, jobs=1)
+        assert {c.name: c.counterexample for c in report.checks if not c.ok} == expected
+
+    def test_pass_reads_the_walk_instead_of_other_trees(self, monkeypatch):
+        # neither recursive sorter runs, and only the injection h, on the
+        # permutations it is checked on, builds a Node tree
+        calls = {fn.__name__: outside_calls(monkeypatch, fn)
+                 for fn in (trees.tree_of, stack_sort, revstack_sort)}
+        assert verify_theorems(6, jobs=1).ok
+        assert calls["stack_sort"] == calls["revstack_sort"] == [0]
+        low = sum(descents(w) <= (6 - 3) // 2 for w in itertools.permutations(range(1, 7)))
+        assert calls["tree_of"][0] <= low
+
     @pytest.mark.parametrize("cells, expected", [
         ([(1, 0, 1)], {
             "table symmetry v_t(n,i) = v_t(n,n-1-i) for t >= 1": "symmetry at t=1",
@@ -743,15 +801,15 @@ class TestTheoremSuite:
         for w in perms_n:
             s, t = stack_sort_sim(w), revstack_sort_sim(w)
             dt, ds = deg_revstack(w), deg_stack(w)
-            assert pred(w, s, t, 0, dt, ds)
+            assert pred(w, s, t, 0, dt, ds, None)
             for delta in (-1, 1):
-                assert not pred(w, s, t, 0, dt + delta, ds)
-                assert not pred(w, s, t, 0, dt, ds + delta)
+                assert not pred(w, s, t, 0, dt + delta, ds, None)
+                assert not pred(w, s, t, 0, dt, ds + delta, None)
         slowest = max(perms_n, key=deg_revstack)
         assert deg_revstack(slowest) == n - 1
         if n >= 2:
             w = perms_n[-1]
-            assert not pred(w, stack_sort_sim(w), slowest, 0, n, deg_stack(w))
+            assert not pred(w, stack_sort_sim(w), slowest, 0, n, deg_stack(w), None)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_precedence_lemmas_match_the_value_pair_form(self, n):
@@ -760,10 +818,10 @@ class TestTheoremSuite:
         pred = enumeration._pred_precedence_lemmas
         for w in itertools.permutations(range(1, n + 1)):
             t = revstack_sort_sim(w)
-            assert pred(w, (), t, 0, 0, 0) and precedence_by_value_pairs(w, t)
+            assert pred(w, (), t, 0, 0, 0, None) and precedence_by_value_pairs(w, t)
             if n >= 2:
                 swapped = (t[1], t[0]) + t[2:]
-                assert not pred(w, (), swapped, 0, 0, 0)
+                assert not pred(w, (), swapped, 0, 0, 0, None)
                 assert not precedence_by_value_pairs(w, swapped)
 
 

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import duality_f_by_cases, g_map_by_cases
 from revstack.perms import (
     descents,
     identity,
     reverse,
+    revstack_sort,
     revstack_sort_sim,
+    stack_sort,
     stack_sort_sim,
 )
 from revstack.trees import (
@@ -17,10 +20,8 @@ from revstack.trees import (
     h_details,
     in_order,
     injection_h,
-    post_order,
-    right_edge_count,
-    rpostorder,
     tree_of,
+    tree_walk,
     vertex_indexing,
 )
 
@@ -82,25 +83,45 @@ class TestTreeConstruction:
 
 class TestTraversals:
     def test_worked_sort_images(self):
-        t = tree_of((4, 2, 5, 1, 3))
-        assert post_order(t) == (2, 4, 1, 3, 5)
-        assert rpostorder(t) == (1, 3, 2, 4, 5)
+        walk = tree_walk((4, 2, 5, 1, 3))
+        assert walk.s == (2, 4, 1, 3, 5)
+        assert walk.t == (1, 3, 2, 4, 5)
 
     def test_identity_fixed(self):
-        t = tree_of(identity(6))
-        assert in_order(t) == post_order(t) == rpostorder(t) == identity(6)
+        walk = tree_walk(identity(6))
+        assert walk.in_order == walk.s == walk.t == identity(6)
 
     def test_reversed_identity(self):
-        assert rpostorder(tree_of((5, 4, 3, 2, 1))) == (1, 2, 3, 4, 5)
+        assert tree_walk((5, 4, 3, 2, 1)).t == (1, 2, 3, 4, 5)
 
     def test_exhaustive_identities(self):
         for n in range(1, 8):
             for w in all_perms(n):
-                t = tree_of(w)
-                assert in_order(t) == w
-                assert post_order(t) == stack_sort_sim(w)
-                assert rpostorder(t) == revstack_sort_sim(w)
-                assert right_edge_count(t) == descents(w)
+                walk = tree_walk(w)
+                assert in_order(tree_of(w)) == walk.in_order == w
+                assert walk.s == stack_sort_sim(w)
+                assert walk.t == revstack_sort_sim(w)
+                assert walk.right_edges == descents(w)
+
+
+class TestTreeWalk:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_readings_match_their_definitions(self, n):
+        # each reading against a definition that shares no code with the
+        # walk: the word, the sorting recursions of perms, the five-case
+        # recursions of f and g, and the descent count
+        for w in all_perms(n):
+            walk = tree_walk(w)
+            assert walk.in_order == w
+            assert walk.s == stack_sort(w)
+            assert walk.t == revstack_sort(w)
+            assert walk.f == duality_f_by_cases(w)
+            assert walk.g == g_map_by_cases(w)
+            assert walk.right_edges == descents(w)
+
+    def test_empty_word(self):
+        assert tree_walk(()) == ((), (), (), (), (), 0)
+        assert tree_walk([]) == tree_walk(())
 
 
 class TestDuality:
@@ -126,8 +147,8 @@ class TestDuality:
         assert duality_f(duality_f(w)) == w
 
     def test_g_bases(self):
-        assert g_map(()) == ()
-        assert g_map((1,)) == (1,)
+        assert duality_f(()) == g_map(()) == ()
+        assert duality_f((1,)) == g_map((1,)) == (1,)
         assert g_map((2, 3, 1)) == (1, 3, 2)
 
     def test_g_is_conjugate_exhaustive(self):
