@@ -63,14 +63,11 @@ from .polynomials import (
 )
 from .roots import RootReport, check_interlacing, real_roots
 from .trees import (
-    Node,
     TreeWalk,
     duality_f,
     g_map,
     h_details,
-    in_order,
     injection_h,
-    tree_of,
     tree_walk,
 )
 from .enumeration import (

@@ -263,7 +263,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_roots(args) -> int:
     if args.coeffs is not None:
-        coeffs = [int(c) for c in args.coeffs.split()]
+        try:
+            coeffs = [int(c) for c in args.coeffs.split()]
+        except ValueError:
+            raise ValueError(f"cannot parse coefficients from {args.coeffs!r}") from None
         poly = IntPoly.from_coeffs(coeffs)
     else:
         if args.n is None or args.t is None:

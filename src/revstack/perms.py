@@ -175,6 +175,24 @@ def inversions(word: Sequence[int]) -> set[tuple[int, int]]:
     return out
 
 
+def _windows(w: Word) -> tuple[list[int], list[int]]:
+    """For each position p, the positions of the nearest values greater than
+    w[p] on the left (-1 if none) and on the right (len(w) if none), by
+    two monotone-stack passes; window(w[p]) is the open interval between.
+    That window is the span of the subtree of w[p] in the decreasing binary
+    tree of w, and the smaller of the two values bounding it is the parent
+    of w[p]."""
+    n = len(w)
+    left, right = [-1] * n, [n] * n
+    stack: list[int] = []
+    for p in range(n):
+        while stack and w[stack[-1]] < w[p]:
+            right[stack.pop()] = p
+        left[p] = stack[-1] if stack else -1
+        stack.append(p)
+    return left, right
+
+
 def iterate_revstack(word: Sequence[int], t: int) -> Word:
     """Apply T exactly t times."""
     if t < 0:
@@ -195,13 +213,19 @@ def iterate_stack(word: Sequence[int], t: int) -> Word:
     return w
 
 
-def _walk(w: Sequence[int], sort: Callable[[Sequence[int]], Word]) -> int:
-    """Minimal t with sort^t(w) = identity."""
-    d = 0
-    while not is_identity(w):
+def _walk(word: Sequence[int], sort: Callable[[Sequence[int]], Word]) -> int:
+    """Minimal t with sort^t(word) = identity.  Both sorts take a
+    permutation of 1..n there in at most n - 1 passes (the empty word in
+    none), so a word that takes more is no permutation and raises
+    ValueError."""
+    w = word
+    for d in range(len(word)):
+        if is_identity(w):
+            return d
         w = sort(w)
-        d += 1
-    return d
+    if not word:
+        return 0
+    raise ValueError(f"not a permutation of 1..{len(word)}: {tuple(word)!r}")
 
 
 def deg_revstack(word: Sequence[int]) -> int:

@@ -1,12 +1,13 @@
-"""Decreasing binary trees and the descent-statistic bijections.
+"""Decreasing binary trees and the descent-statistic bijections, read off
+the word itself: no node is ever built.
 
 The decreasing binary tree of a word w = L n R has the maximum n at its
 root and the trees of L and R as its left and right subtrees, so its
 in-order reading is w.  ``tree_walk`` reads six things off that tree in
-one recursion on the maximum, building no node: the in-order word; one
-stack-sort pass S(w) = S(L)S(R)n (post-order); one revstack pass
-T(w) = T(R)T(L)n (right subtree, left subtree, root); the number of right
-edges, which equals des(w); and the two bijections below.
+one recursion on the maximum: the in-order word; one stack-sort pass
+S(w) = S(L)S(R)n (post-order); one revstack pass T(w) = T(R)T(L)n (right
+subtree, left subtree, root); the number of right edges, which equals
+des(w); and the two bijections below.
 
 ``duality_f`` is the descent-complementing involution (des(w) + des(f(w))
 = n-1) that preserves the image under both sorting operators: it moves
@@ -14,49 +15,18 @@ every lone child to the other side.  ``g_map`` is its conjugate by
 reversal: it swaps the two children of every node that has both.  Both
 are reads of ``tree_walk``.
 
-``tree_of`` builds the tree as ``Node`` records for ``injection_h``, which
-raises the descent count by exactly one while preserving both sorting
-images, by flipping the only-child subtrees hanging off a balanced bottom
-portion of the tree.
+``injection_h`` raises the descent count by exactly one while preserving
+both sorting images, by flipping the only-child subtrees hanging off a
+balanced bottom portion of the tree.  ``h_details`` reads the tree's
+shape from the windows of w (``perms._windows``): the window of an entry
+is the span of its subtree, which gives its parent, its depth and its
+children.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .perms import Word
-
-
-class Node(NamedTuple):
-    label: int
-    left: Optional["Node"] = None
-    right: Optional["Node"] = None
-
-    def to_json(self) -> dict:
-        out: dict = {"label": self.label}
-        if self.left is not None:
-            out["left"] = self.left.to_json()
-        if self.right is not None:
-            out["right"] = self.right.to_json()
-        return out
-
-
-def tree_of(word: Sequence[int]) -> Node:
-    """The decreasing binary tree with in-order reading equal to word."""
-    w = tuple(word)
-    if not w:
-        raise ValueError("the empty permutation has no tree")
-    i = w.index(max(w))
-    return Node(
-        w[i],
-        tree_of(w[:i]) if i > 0 else None,
-        tree_of(w[i + 1:]) if i + 1 < len(w) else None,
-    )
-
-
-def in_order(t: Optional[Node]) -> Word:
-    if t is None:
-        return ()
-    return in_order(t.left) + (t.label,) + in_order(t.right)
+from .perms import Word, _windows
 
 
 class TreeWalk(NamedTuple):
@@ -92,7 +62,7 @@ def _readings(w: Word) -> tuple:
 
 def tree_walk(word: Sequence[int]) -> TreeWalk:
     """In-order, S, T, f, g and the right-edge count of the decreasing
-    binary tree of word, read in one walk that builds no Node.
+    binary tree of word, read in one walk that builds no node.
 
     >>> walk = tree_walk((4, 2, 5, 1, 3))
     >>> walk.s, walk.t
@@ -115,24 +85,6 @@ def g_map(word: Sequence[int]) -> Word:
     return tree_walk(word).g
 
 
-def _vertices(t: Node) -> list[Node]:
-    """The nodes of t bottom-to-top by depth (deepest level first) and
-    left-to-right within a level, level by level from the root: on one
-    level that order is the in-order one."""
-    levels = [[t]]
-    while True:
-        below = [c for node in levels[-1] for c in (node.left, node.right) if c is not None]
-        if not below:
-            return [node for level in reversed(levels) for node in level]
-        levels.append(below)
-
-
-def vertex_indexing(t: Node) -> list[int]:
-    """Labels v_1, ..., v_n ordered bottom-to-top by depth (deepest level
-    first) and left-to-right (by in-order position) within a level."""
-    return [node.label for node in _vertices(t)]
-
-
 class HStep(NamedTuple):
     """The descent-raising construction applied to one word."""
 
@@ -145,46 +97,59 @@ class HStep(NamedTuple):
 
 def h_details(word: Sequence[int]) -> HStep:
     """Run the descent-raising map and report the balanced-prefix index and
-    the flipped only-child vertices, reading each vertex's children off the
-    nodes _vertices lists (one walk of the tree).
+    the flipped only-child vertices.  The vertices v_1, ..., v_n run
+    bottom-to-top by depth (deepest level first) and left-to-right within
+    a level, and T_i is the forest of v_1..v_i.
+
+    >>> step = h_details((8, 7, 9, 4, 6, 1, 10, 2, 3, 5, 11))
+    >>> step.index, step.flipped_labels
+    (9, (8, 3, 5))
+    >>> step.result
+    (7, 8, 9, 4, 6, 1, 10, 5, 3, 2, 11)
 
     Raises LookupError when no prefix T_i has exactly one more left edge
     than right edges (outside the guaranteed range des <= (n-3)/2 this can
-    happen and the map is simply not defined).
+    happen and the map is simply not defined), and ValueError for the
+    empty word.
     """
     w = tuple(word)
-    t = tree_of(w)
-    order = _vertices(t)
-    # Vertices arrive deepest level first, so both children of a vertex are
-    # already in the prefix when it arrives; edge counts grow by its arity.
-    left_edges = right_edges = 0
-    index = None
-    for i, node in enumerate(order, start=1):
-        left_edges += node.left is not None
-        right_edges += node.right is not None
-        if left_edges == right_edges + 1:
-            index = i
+    if not w:
+        raise ValueError("the empty permutation has no tree")
+    n = len(w)
+    left, right = _windows(w)
+    # The parent of an entry is the smaller of the two values bounding its
+    # window, so depths fill in by decreasing value.
+    depth = [0] * n
+    for p in sorted(range(n), key=w.__getitem__, reverse=True):
+        a, b = left[p], right[p]
+        if a >= 0 and (b == n or w[a] < w[b]):
+            depth[p] = depth[a] + 1
+        elif b < n:
+            depth[p] = depth[b] + 1
+    order = sorted(range(n), key=lambda p: (-depth[p], p))
+    # The entry at p has a left (right) child exactly when its window
+    # reaches past p on that side.  Both children of a vertex precede it.
+    edges = 0
+    for index, p in enumerate(order, start=1):
+        edges += (left[p] + 1 < p) - (p + 1 < right[p])
+        if edges == 1:
             break
-    if index is None:
+    else:
         raise LookupError(f"no balanced prefix index exists for {w}")
 
+    # Moving the lone child of the entry at p to the other side moves p to
+    # the other end of its window.  Deeper flips come first and stay inside
+    # their own windows, so each move finds its window already flipped.
+    out = list(w)
     flip_labels = []
     flip_indices = []
-    for i, node in enumerate(order[:index], start=1):
-        if (node.left is None) != (node.right is None):
-            flip_labels.append(node.label)
+    for i, p in enumerate(order[:index], start=1):
+        lo, hi = left[p] + 1, right[p]
+        if (lo < p) != (p + 1 < hi):
+            out[lo:hi] = out[lo + 1:hi] + [out[p]] if p == lo else [out[p]] + out[lo:p]
+            flip_labels.append(w[p])
             flip_indices.append(i)
-    flips = set(flip_labels)
-
-    def rebuild(node: Optional[Node]) -> Optional[Node]:
-        if node is None:
-            return None
-        left, right = rebuild(node.left), rebuild(node.right)
-        if node.label in flips:
-            left, right = right, left
-        return Node(node.label, left, right)
-
-    return HStep(w, in_order(rebuild(t)), index, tuple(flip_labels), tuple(flip_indices))
+    return HStep(w, tuple(out), index, tuple(flip_labels), tuple(flip_indices))
 
 
 def injection_h(word: Sequence[int]) -> Word:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .perms import Word
+from .perms import Word, _windows
 
 
 class Zigzag(NamedTuple):
@@ -131,21 +131,6 @@ def max_zigzag_degree(word: Sequence[int]) -> int:
             break
         best = max(best, len(_chain(w, order, i)))
     return best - 2
-
-
-def _windows(w: Word) -> tuple[list[int], list[int]]:
-    """For each position p, the positions of the nearest values greater than
-    w[p] on the left (-1 if none) and on the right (len(w) if none), by
-    two monotone-stack passes; window(w[p]) is the open interval between."""
-    n = len(w)
-    left, right = [-1] * n, [n] * n
-    stack: list[int] = []
-    for p in range(n):
-        while stack and w[stack[-1]] < w[p]:
-            right[stack.pop()] = p
-        left[p] = stack[-1] if stack else -1
-        stack.append(p)
-    return left, right
 
 
 def _window_dp(w: Word, left: list[int], right: list[int]) -> Callable[[int, int], int]:

@@ -6,6 +6,7 @@ can compare the library's fast algorithms with something independent.
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from revstack.patterns import SortedPatternReport, SortedPatternWitness
 from revstack.perms import descents, positions, revstack_sort_sim, stack_sort_sim
@@ -18,6 +19,7 @@ from revstack.roots import (
     square_free_parts,
     sturm_chain,
 )
+from revstack.trees import HStep
 from revstack.zigzag import Zigzag
 
 
@@ -63,6 +65,82 @@ def g_map_by_cases(word):
     if left:
         return g_map_by_cases(left) + (pivot,)
     return (pivot,) + g_map_by_cases(right)
+
+
+class Node(NamedTuple):
+    label: int
+    left: Optional["Node"] = None
+    right: Optional["Node"] = None
+
+
+def tree_of(word):
+    """The decreasing binary tree with in-order reading equal to word."""
+    w = tuple(word)
+    if not w:
+        raise ValueError("the empty permutation has no tree")
+    i = w.index(max(w))
+    return Node(
+        w[i],
+        tree_of(w[:i]) if i > 0 else None,
+        tree_of(w[i + 1:]) if i + 1 < len(w) else None,
+    )
+
+
+def in_order(t):
+    if t is None:
+        return ()
+    return in_order(t.left) + (t.label,) + in_order(t.right)
+
+
+def vertices(t):
+    """The nodes of t bottom-to-top by depth (deepest level first) and
+    left-to-right within a level, level by level from the root: on one
+    level that order is the in-order one."""
+    levels = [[t]]
+    while True:
+        below = [c for node in levels[-1] for c in (node.left, node.right) if c is not None]
+        if not below:
+            return [node for level in reversed(levels) for node in level]
+        levels.append(below)
+
+
+def h_details_by_tree(word):
+    """trees.h_details on a tree of Node records: the vertices in the
+    order vertices lists them, and the flipped word the in-order reading
+    of the tree rebuilt with the two sides of each flipped vertex swapped."""
+    w = tuple(word)
+    t = tree_of(w)
+    order = vertices(t)
+    # Vertices arrive deepest level first, so both children of a vertex are
+    # already in the prefix when it arrives; edge counts grow by its arity.
+    left_edges = right_edges = 0
+    index = None
+    for i, node in enumerate(order, start=1):
+        left_edges += node.left is not None
+        right_edges += node.right is not None
+        if left_edges == right_edges + 1:
+            index = i
+            break
+    if index is None:
+        raise LookupError(f"no balanced prefix index exists for {w}")
+
+    flip_labels = []
+    flip_indices = []
+    for i, node in enumerate(order[:index], start=1):
+        if (node.left is None) != (node.right is None):
+            flip_labels.append(node.label)
+            flip_indices.append(i)
+    flips = set(flip_labels)
+
+    def rebuild(node):
+        if node is None:
+            return None
+        left, right = rebuild(node.left), rebuild(node.right)
+        if node.label in flips:
+            left, right = right, left
+        return Node(node.label, left, right)
+
+    return HStep(w, in_order(rebuild(t)), index, tuple(flip_labels), tuple(flip_indices))
 
 
 def interrupted_by_definition(word, values):

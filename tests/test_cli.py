@@ -651,13 +651,15 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == "error: empty pattern\n"
 
-    @pytest.mark.parametrize("text", ["²", "1 ²", "1²", "2 1 ²"])
+    @pytest.mark.parametrize("text", ["²", "1 ²", "1²", "2 1 ²", "a"])
     @pytest.mark.parametrize("argv, what", [
         (["pattern", "--pattern", "{}", "21"], "pattern"),
         (["degree", "{}"], "permutation"),
+        (["roots", "--coeffs", "{}"], "coefficients"),
     ])
     def test_unparseable_digits(self, capsys, text, argv, what):
-        # "²" is a digit to str.isdigit but not to int
+        # "²" is a digit to str.isdigit but not to int; every parser names
+        # the text it could not read, not int's message
         status = main([arg.format(text) for arg in argv])
         captured = capsys.readouterr()
         assert status == 2

@@ -742,14 +742,14 @@ class TestTheoremSuite:
         assert {c.name: c.counterexample for c in report.checks if not c.ok} == expected
 
     def test_pass_reads_the_walk_instead_of_other_trees(self, monkeypatch):
-        # neither recursive sorter runs, and only the injection h, on the
-        # permutations it is checked on, builds a Node tree
+        # neither recursive sorter runs, and the injection h runs once on
+        # each permutation it is checked on, those with des <= (n - 3) // 2
         calls = {fn.__name__: outside_calls(monkeypatch, fn)
-                 for fn in (trees.tree_of, stack_sort, revstack_sort)}
+                 for fn in (trees.injection_h, stack_sort, revstack_sort)}
         assert verify_theorems(6, jobs=1).ok
         assert calls["stack_sort"] == calls["revstack_sort"] == [0]
         low = sum(descents(w) <= (6 - 3) // 2 for w in itertools.permutations(range(1, 7)))
-        assert calls["tree_of"][0] <= low
+        assert calls["injection_h"] == [low]
 
     @pytest.mark.parametrize("cells, expected", [
         ([(1, 0, 1)], {
@@ -1017,7 +1017,6 @@ RECORDS = [
     (roots.RootInterval, dict(lo=Fraction(-1), hi=Fraction(-1, 2), multiplicity=1)),
     (roots.RootReport, dict(all_real=True, nonpositive=True, roots=())),
     (roots.InterlacingReport, dict(ok=False, detail="ordering violated")),
-    (trees.Node, dict(label=2, left=trees.Node(1), right=None)),
     (trees.HStep, dict(word=(1, 3, 2), result=(2, 3, 1), index=1, flipped_labels=(1,),
                        flipped_indices=(1,))),
     (zigzag.Zigzag, dict(values=(3, 1, 2), interrupted=False)),

@@ -87,6 +87,15 @@ class TestWorkedExamples:
         assert deg_revstack((2, 4, 1, 3, 5)) == 3
         # T: 42513 -> 13245 -> 21345 -> id
         assert deg_revstack((4, 2, 5, 1, 3)) == 3
+        assert deg_revstack(()) == deg_stack(()) == 0
+
+    @pytest.mark.parametrize("word", [(2, 3), (1, 1), (0,)])
+    def test_degrees_reject_non_permutations(self, word):
+        # no number of passes sorts these into 1..n; the walk stops after n - 1
+        for deg in (deg_revstack, deg_stack):
+            with pytest.raises(ValueError) as exc:
+                deg(word)
+            assert str(exc.value) == f"not a permutation of 1..{len(word)}: {word!r}"
 
     def test_iterate(self):
         assert iterate_revstack((4, 2, 5, 1, 3), 1) == (1, 3, 2, 4, 5)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import duality_f_by_cases, g_map_by_cases
+from oracles import (
+    duality_f_by_cases,
+    g_map_by_cases,
+    h_details_by_tree,
+    in_order,
+    tree_of,
+    vertices,
+)
 from revstack.perms import (
     descents,
     identity,
@@ -18,11 +25,8 @@ from revstack.trees import (
     duality_f,
     g_map,
     h_details,
-    in_order,
     injection_h,
-    tree_of,
     tree_walk,
-    vertex_indexing,
 )
 
 WORKED = (8, 7, 9, 4, 6, 1, 10, 2, 3, 5, 11)
@@ -39,6 +43,7 @@ def perms(max_n=9):
 
 
 class TestTreeConstruction:
+    # the oracle's Node tree, pinned to the paper's examples
     def test_worked_example_structure(self):
         t = tree_of(WORKED)
         assert t.label == 11
@@ -72,13 +77,8 @@ class TestTreeConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tree_of(())
-
-    def test_json_and_render(self):
-        t = tree_of((2, 1, 3))
-        assert t.to_json() == {
-            "label": 3,
-            "left": {"label": 2, "right": {"label": 1}},
-        }
+        with pytest.raises(ValueError):
+            h_details(())
 
 
 class TestTraversals:
@@ -159,24 +159,44 @@ class TestDuality:
                 assert g == reverse(duality_f(w))
 
 
+def vertex_labels(w):
+    return [node.label for node in vertices(tree_of(w))]
+
+
 class TestVertexIndexing:
+    # the oracle's vertex order v_1..v_n, pinned to the paper's example
     def test_worked_example_order(self):
-        order = vertex_indexing(tree_of(WORKED))
-        assert order == [7, 4, 1, 2, 8, 6, 3, 9, 5, 10, 11]
+        assert vertex_labels(WORKED) == [7, 4, 1, 2, 8, 6, 3, 9, 5, 10, 11]
 
     def test_covers_all_labels(self):
         for n in range(1, 7):
             for w in all_perms(n):
-                assert sorted(vertex_indexing(tree_of(w))) == list(range(1, n + 1))
+                assert sorted(vertex_labels(w)) == list(range(1, n + 1))
+
+
+def h_or_lookup_error(h, w):
+    try:
+        return h(w)
+    except LookupError as exc:
+        return str(exc)
 
 
 class TestInjectionH:
     def test_worked_example(self):
-        step = h_details(WORKED)
-        assert step.result == (7, 8, 9, 4, 6, 1, 10, 5, 3, 2, 11)
-        assert step.index == 9
-        assert step.flipped_indices == (5, 7, 9)
-        assert step.flipped_labels == (8, 3, 5)
+        vertex = vertex_labels(WORKED)
+        for h in (h_details, h_details_by_tree):
+            step = h(WORKED)
+            assert step.result == (7, 8, 9, 4, 6, 1, 10, 5, 3, 2, 11)
+            assert step.index == 9
+            assert step.flipped_indices == (5, 7, 9)
+            assert step.flipped_labels == (8, 3, 5)
+            assert [vertex[i - 1] for i in step.flipped_indices] == [8, 3, 5]
+
+    @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.extended)])
+    def test_matches_the_tree_oracle(self, n):
+        # result, index, flipped labels and indices, or the LookupError
+        for w in all_perms(n):
+            assert h_or_lookup_error(h_details, w) == h_or_lookup_error(h_details_by_tree, w)
 
     def test_identity_five(self):
         w = identity(5)
