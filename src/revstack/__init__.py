@@ -12,17 +12,11 @@ from .perms import (
     deg_stack,
     descents,
     format_permutation,
-    identity,
-    inversions,
     is_identity,
     is_permutation,
-    iterate_revstack,
-    iterate_stack,
     parse_permutation,
     reverse,
-    revstack_sort,
     revstack_sort_sim,
-    stack_sort,
     stack_sort_sim,
 )
 from .patterns import (
@@ -39,8 +33,6 @@ from .zigzag import (
     Zigzag,
     find_uninterrupted_zigzag,
     find_zigzag,
-    is_interrupted,
-    is_zigzag,
     max_zigzag_degree,
     zigzag_degrees,
 )
@@ -64,8 +56,6 @@ from .polynomials import (
 from .roots import RootReport, check_interlacing, real_roots
 from .trees import (
     TreeWalk,
-    duality_f,
-    g_map,
     h_details,
     injection_h,
     tree_walk,

@@ -24,10 +24,10 @@ from . import enumeration, patterns, zigzag
 from .perms import (  # deg_revstack stays bound here for the perfbench tracer test
     deg_revstack,
     format_permutation,
-    iterate_revstack,
-    iterate_stack,
     parse_permutation,
     reverse,
+    revstack_sort_sim,
+    stack_sort_sim,
 )
 from .polynomials import (
     IntPoly,
@@ -68,14 +68,18 @@ def _print_json(obj) -> None:
 
 def _cmd_sort(args) -> int:
     word = parse_permutation(args.perm)
+    if args.times < 0:
+        raise ValueError("iteration count must be non-negative")
+    # Reversal is an involution, and both sorts reach the identity within
+    # n - 1 passes and then fix it, so n passes do what any more would.
     if args.op == "reverse":
-        if args.times < 0:
-            raise ValueError("iteration count must be non-negative")
-        out = reverse(word) if args.times % 2 else word
-    elif args.op == "stack":
-        out = iterate_stack(word, args.times)
+        one_pass, passes = reverse, args.times % 2
     else:
-        out = iterate_revstack(word, args.times)
+        one_pass = stack_sort_sim if args.op == "stack" else revstack_sort_sim
+        passes = min(args.times, len(word))
+    out = word
+    for _ in range(passes):
+        out = one_pass(out)
     if args.format == "json":
         _print_json({"input": list(word), "op": args.op, "times": args.times,
                      "result": list(out)})
@@ -272,7 +276,10 @@ def _cmd_roots(args) -> int:
         if args.n is None or args.t is None:
             raise ValueError("roots: provide either --coeffs or both --n and --t")
         poly = _table_source(args)(args.n, "revstack").row(args.t)
-    width = Fraction(args.width) if args.width else DEFAULT_WIDTH
+    try:
+        width = Fraction(args.width) if args.width else DEFAULT_WIDTH
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse width from {args.width!r}") from None
     report = real_roots(poly, width)
     if args.format == "json":
         _print_json({"poly": poly.to_json(), "report": report.to_json()})

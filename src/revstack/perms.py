@@ -12,9 +12,10 @@ Two sorting operators act on words:
 - revstack sort ``T``, defined by T(LnR) = T(R)T(L)n, equivalently
   T = S o rev (feed the word into the stack from the right end).
 
-Both implementations of S are kept: the recursion is the reference, the
-stack-machine simulation is the operational witness, and the test suite
-cross-checks them exhaustively.
+The stack simulations ``stack_sort_sim`` and ``revstack_sort_sim`` are
+the operators.  The recursions are read off the decreasing binary tree
+by ``trees.tree_walk``, which the theorem suite compares with the
+simulations; the test suite keeps the plain recursions as its reference.
 """
 from __future__ import annotations
 
@@ -41,10 +42,6 @@ def check_permutation(word: Iterable[int]) -> Word:
     if not is_permutation(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
-
-
-def identity(n: int) -> Word:
-    return tuple(range(1, n + 1))
 
 
 def is_identity(word: Sequence[int]) -> bool:
@@ -91,19 +88,6 @@ def reverse(word: Sequence[int]) -> Word:
     return tuple(reversed(word))
 
 
-def stack_sort(word: Sequence[int]) -> Word:
-    """Stack sort by the reference recursion S(LnR) = S(L)S(R)n.
-
-    >>> stack_sort((4, 2, 5, 1, 3))
-    (2, 4, 1, 3, 5)
-    """
-    w = tuple(word)
-    if len(w) <= 1:
-        return w
-    i = w.index(max(w))
-    return stack_sort(w[:i]) + stack_sort(w[i + 1:]) + (w[i],)
-
-
 def stack_sort_sim(word: Sequence[int]) -> Word:
     """Stack sort by simulating the physical stack.
 
@@ -124,21 +108,12 @@ def stack_sort_sim(word: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def revstack_sort(word: Sequence[int]) -> Word:
-    """Revstack sort T = S o rev, computed by the recursion T(LnR) = T(R)T(L)n.
+def revstack_sort_sim(word: Sequence[int]) -> Word:
+    """Revstack sort by feeding the word into the stack from its right end.
 
-    >>> revstack_sort((4, 2, 5, 1, 3))
+    >>> revstack_sort_sim((4, 2, 5, 1, 3))
     (1, 3, 2, 4, 5)
     """
-    w = tuple(word)
-    if len(w) <= 1:
-        return w
-    i = w.index(max(w))
-    return revstack_sort(w[i + 1:]) + revstack_sort(w[:i]) + (w[i],)
-
-
-def revstack_sort_sim(word: Sequence[int]) -> Word:
-    """Revstack sort by feeding the word into the stack from its right end."""
     out: list[int] = []
     stack: list[int] = []
     for x in reversed(word):
@@ -161,20 +136,6 @@ def descents(word: Sequence[int]) -> int:
     return sum(map(operator.gt, word, word[1:]))
 
 
-def inversions(word: Sequence[int]) -> set[tuple[int, int]]:
-    """The set of value pairs (b, a) with b > a and b preceding a.
-
-    >>> sorted(inversions((2, 1, 3)))
-    [(2, 1)]
-    """
-    out = set()
-    for i, b in enumerate(word):
-        for a in word[i + 1:]:
-            if b > a:
-                out.add((b, a))
-    return out
-
-
 def _windows(w: Word) -> tuple[list[int], list[int]]:
     """For each position p, the positions of the nearest values greater than
     w[p] on the left (-1 if none) and on the right (len(w) if none), by
@@ -191,26 +152,6 @@ def _windows(w: Word) -> tuple[list[int], list[int]]:
         left[p] = stack[-1] if stack else -1
         stack.append(p)
     return left, right
-
-
-def iterate_revstack(word: Sequence[int], t: int) -> Word:
-    """Apply T exactly t times."""
-    if t < 0:
-        raise ValueError("iteration count must be non-negative")
-    w = tuple(word)
-    for _ in range(t):
-        w = revstack_sort_sim(w)
-    return w
-
-
-def iterate_stack(word: Sequence[int], t: int) -> Word:
-    """Apply S exactly t times."""
-    if t < 0:
-        raise ValueError("iteration count must be non-negative")
-    w = tuple(word)
-    for _ in range(t):
-        w = stack_sort_sim(w)
-    return w
 
 
 def _walk(word: Sequence[int], sort: Callable[[Sequence[int]], Word]) -> int:

@@ -187,9 +187,11 @@ def narayana_poly(n: int) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def d_poly(n: int) -> IntPoly:
-    """Descent polynomial of permutations with n positioned right of n-1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Descent polynomial of permutations with n positioned right of n-1.
+    Needs n >= 2: at n = 1 there is no n-1, and the halved convolution
+    would be 1/2."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
     acc = IntPoly.zero()
     for i in range(n):
         acc = acc + comb(n - 1, i) * (eulerian_poly(i) * eulerian_poly(n - 1 - i))
@@ -198,7 +200,8 @@ def d_poly(n: int) -> IntPoly:
 
 def l_poly(n: int) -> IntPoly:
     """Descent polynomial of permutations with n positioned left of n-1."""
-    return eulerian_poly(n) - d_poly(n)
+    d = d_poly(n)  # first, so that its bound n >= 2 is the one reported
+    return eulerian_poly(n) - d
 
 
 def w_revstack_nm2(n: int) -> IntPoly:
@@ -220,8 +223,8 @@ def w_revstack_nm3(n: int) -> IntPoly:
     >>> str(w_revstack_nm3(5))
     'x^5 + 20x^4 + 49x^3 + 20x^2 + x'
     """
-    if n <= 3:
-        raise ValueError("closed form requires n > 3")
+    if n < 4:
+        raise ValueError("closed form requires n >= 4")
     A = eulerian_poly
     return (
         A(n)

@@ -9,11 +9,9 @@ S(w) = S(L)S(R)n (post-order); one revstack pass T(w) = T(R)T(L)n (right
 subtree, left subtree, root); the number of right edges, which equals
 des(w); and the two bijections below.
 
-``duality_f`` is the descent-complementing involution (des(w) + des(f(w))
-= n-1) that preserves the image under both sorting operators: it moves
-every lone child to the other side.  ``g_map`` is its conjugate by
-reversal: it swaps the two children of every node that has both.  Both
-are reads of ``tree_walk``.
+The duality f moves every lone child to the other side: an involution
+with des(w) + des(f(w)) = n - 1 that keeps both sorting images.  Its
+conjugate by reversal, g, swaps the two children of every full node.
 
 ``injection_h`` raises the descent count by exactly one while preserving
 both sorting images, by flipping the only-child subtrees hanging off a
@@ -35,8 +33,8 @@ class TreeWalk(NamedTuple):
     in_order: Word   # left, root, right: the word itself
     s: Word          # left, right, root: one stack-sort pass S(w)
     t: Word          # right, left, root: one revstack pass T(w)
-    f: Word          # a lone child moved to the other side: duality_f(w)
-    g: Word          # the two children of a full node swapped: g_map(w)
+    f: Word          # every lone child moved to the other side: the duality f(w)
+    g: Word          # both children of every full node swapped: g(w) = f(rev(w))
     right_edges: int  # the number of right edges, which is des(w)
 
 
@@ -72,17 +70,6 @@ def tree_walk(word: Sequence[int]) -> TreeWalk:
     """
     w = tuple(word)
     return TreeWalk._make(_readings(w)) if w else TreeWalk((), (), (), (), (), 0)
-
-
-def duality_f(word: Sequence[int]) -> Word:
-    """The descent-complementing involution: des(w) + des(f(w)) = n - 1,
-    and f(w) has the S and T images of w."""
-    return tree_walk(word).f
-
-
-def g_map(word: Sequence[int]) -> Word:
-    """The reversal conjugate of duality_f: g(w) = f(reverse(w)) = reverse(f(w))."""
-    return tree_walk(word).g
 
 
 class HStep(NamedTuple):

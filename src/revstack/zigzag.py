@@ -54,22 +54,6 @@ class Zigzag(NamedTuple):
         return {"k": self.k, "values": list(self.values), "interrupted": self.interrupted}
 
 
-def is_zigzag(word: Sequence[int], values: Sequence[int]) -> bool:
-    """Whether the value sequence satisfies both zigzag conditions in word."""
-    m = len(values)
-    if m < 2 or len(set(values)) != m:
-        return False
-    if any(values[i] <= values[i + 1] for i in range(m - 1)):
-        return False
-    pos = {v: i for i, v in enumerate(word, start=1)}
-    if any(v not in pos for v in values):
-        return False
-    p0 = pos[values[0]]
-    return all(
-        (pos[values[i]] > p0) == (i % 2 == 1) for i in range(1, m)
-    )
-
-
 def _interrupted(word: Sequence[int], values: Sequence[int]) -> bool:
     """Whether some entry of a parity class lies outside the window of the
     previous entry of its class (the window lemma)."""
@@ -77,14 +61,6 @@ def _interrupted(word: Sequence[int], values: Sequence[int]) -> bool:
     pos = {v: p for p, v in enumerate(word)}
     return any(not left[pos[a]] < pos[b] < right[pos[a]]
                for cls in (values[1::2], values[2::2]) for a, b in zip(cls, cls[1:]))
-
-
-def is_interrupted(word: Sequence[int], zigzag: Zigzag | Sequence[int]) -> bool:
-    """Interruption test; rejects sequences that are not zigzags of word."""
-    values = zigzag.values if isinstance(zigzag, Zigzag) else tuple(zigzag)
-    if not is_zigzag(word, values):
-        raise ValueError(f"{values!r} is not a zigzag of {tuple(word)!r}")
-    return _interrupted(word, values)
 
 
 def _chain(w: Word, order: list[int], i: int) -> list[int]:

@@ -35,8 +35,28 @@ def walk_patterns(a, sorter, bits):
     return polys
 
 
+def stack_sort_by_recursion(word):
+    """One stack-sort pass by the recursion S(LnR) = S(L)S(R)n on the
+    maximum n."""
+    w = tuple(word)
+    if len(w) <= 1:
+        return w
+    i = w.index(max(w))
+    return stack_sort_by_recursion(w[:i]) + stack_sort_by_recursion(w[i + 1:]) + (w[i],)
+
+
+def revstack_sort_by_recursion(word):
+    """One revstack pass by the recursion T(LnR) = T(R)T(L)n on the
+    maximum n."""
+    w = tuple(word)
+    if len(w) <= 1:
+        return w
+    i = w.index(max(w))
+    return revstack_sort_by_recursion(w[i + 1:]) + revstack_sort_by_recursion(w[:i]) + (w[i],)
+
+
 def duality_f_by_cases(word):
-    """trees.duality_f by its five-case recursion on the maximum n:
+    """tree_walk(word).f by its five-case recursion on the maximum n:
     f(eps) = eps, f(x) = x, f(LnR) = f(L) n f(R) when both sides are
     non-empty, f(Ln) = n f(L), and f(nR) = f(R) n."""
     w = tuple(word)
@@ -52,7 +72,7 @@ def duality_f_by_cases(word):
 
 
 def g_map_by_cases(word):
-    """trees.g_map by its five-case recursion: g(eps) = eps, g(x) = x,
+    """tree_walk(word).g by its five-case recursion: g(eps) = eps, g(x) = x,
     g(LnR) = g(R) n g(L) when both sides are non-empty, g(Ln) = g(L) n,
     and g(nR) = n g(R)."""
     w = tuple(word)
@@ -141,6 +161,22 @@ def h_details_by_tree(word):
         return Node(node.label, left, right)
 
     return HStep(w, in_order(rebuild(t)), index, tuple(flip_labels), tuple(flip_indices))
+
+
+def is_zigzag(word, values):
+    """Whether the value sequence is a zigzag of word: at least two
+    distinct values of word, strictly decreasing, with the odd-indexed
+    entries right of the first and the even-indexed ones left of it."""
+    m = len(values)
+    if m < 2 or len(set(values)) != m:
+        return False
+    if any(values[i] <= values[i + 1] for i in range(m - 1)):
+        return False
+    pos = {v: i for i, v in enumerate(word, start=1)}
+    if any(v not in pos for v in values):
+        return False
+    p0 = pos[values[0]]
+    return all((pos[values[i]] > p0) == (i % 2 == 1) for i in range(1, m))
 
 
 def interrupted_by_definition(word, values):

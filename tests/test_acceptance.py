@@ -43,7 +43,7 @@ from revstack.polynomials import (
     w_revstack_nm3,
 )
 from revstack.roots import check_interlacing, real_roots
-from revstack.trees import duality_f, g_map, h_details, tree_walk
+from revstack.trees import h_details, tree_walk
 from revstack.zigzag import zigzag_degrees
 
 
@@ -179,12 +179,12 @@ def test_criterion_7_tree_bijection_suite():
             walk = tree_walk(w)
             assert walk.s == stack_sort_sim(w), w
             assert walk.t == revstack_sort_sim(w), w
-            f = duality_f(w)
-            assert duality_f(f) == w, w
+            f = walk.f
+            assert tree_walk(f).f == w, w
             assert descents(w) + descents(f) == n - 1, w
             assert stack_sort_sim(f) == stack_sort_sim(w), w
             assert revstack_sort_sim(f) == revstack_sort_sim(w), w
-            assert g_map(w) == duality_f(reverse(w)) == reverse(f), w
+            assert walk.g == tree_walk(reverse(w)).f == reverse(f), w
     for n in range(1, 9):
         for i in range((n - 3) // 2 + 1):
             images = {}

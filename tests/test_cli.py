@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from revstack import enumeration, zigzag
-from revstack.cli import main
+from revstack import cli, enumeration, zigzag
+from revstack.cli import COUNT_MAKERS, POLY_MAKERS, main
 from revstack.perms import parse_permutation
 from revstack.polynomials import IntPoly
 from revstack.roots import real_roots
@@ -48,6 +48,27 @@ class TestSortAndDegree:
             assert captured.err == "error: iteration count must be non-negative\n"
         _, out = run(capsys, "sort", "--op", "revstack", "--times", "2", "2 4 1 3 5")
         assert out.strip() == "2 1 3 4 5"
+        _, out = run(capsys, "sort", "--op", "revstack", "--times", "0", "4 2 5 1 3")
+        assert out.strip() == "4 2 5 1 3"
+
+    @pytest.mark.parametrize("op", ["stack", "revstack", "reverse"])
+    def test_huge_times_takes_at_most_n_passes(self, capsys, monkeypatch, op):
+        # both sorts fix the identity they reach within n - 1 passes and the
+        # reversal is an involution, so 10**12 passes print what n passes
+        # print; a pass past the n-th raises instead of running on
+        word, n = "1 5 3 2 7 8 4 6", 8
+        passes = [0]
+        for name in ("stack_sort_sim", "revstack_sort_sim", "reverse"):
+            def counted(w, one_pass=getattr(cli, name)):
+                passes[0] += 1
+                if passes[0] > n:
+                    raise RuntimeError("more than n passes")
+                return one_pass(w)
+            monkeypatch.setattr(cli, name, counted)
+        huge = run(capsys, "sort", "--op", op, "--times", str(10**12), word)
+        passes[0] = 0
+        assert huge == run(capsys, "sort", "--op", op, "--times", str(n), word)
+        assert huge[0] == 0 and passes[0] == (0 if op == "reverse" else n)
 
     def test_degree(self, capsys):
         status, out = run(capsys, "degree", "1 2 3")
@@ -204,6 +225,25 @@ class TestPolyAndCount:
         status, out = run(capsys, "count", "--what", "zigzag-free", "--n", "5", "--k", "-1")
         assert status == 2
         assert out == ""
+
+    @pytest.mark.parametrize("verb, which, lowest", [
+        *[("poly", which, {"eulerian": 0, "narayana": 1, "d": 2, "l": 2}.get(which, 4))
+          for which in sorted(POLY_MAKERS)],
+        *[("count", which, 4) for which in sorted(COUNT_MAKERS)],
+    ])
+    def test_each_bound_has_one_message(self, capsys, verb, which, lowest):
+        # the first n below the range and every n further down get the
+        # same message, which names the bound
+        message = {0: "error: n must be non-negative\n",
+                   1: "error: n must be at least 1\n",
+                   2: "error: n must be at least 2\n",
+                   4: "error: closed form requires n >= 4\n"}[lowest]
+        flag = "--which" if verb == "poly" else "--what"
+        assert run(capsys, verb, flag, which, "--n", str(lowest))[0] == 0
+        for n in (lowest - 1, -2):
+            status = main([verb, flag, which, "--n", str(n)])
+            captured = capsys.readouterr()
+            assert (status, captured.out, captured.err) == (2, "", message), n
 
     def test_poly_precondition_is_usage_error(self, capsys):
         status, _ = run(capsys, "poly", "--which", "revstack-nm2", "--n", "2")
@@ -563,6 +603,13 @@ class TestRoots:
             err = capsys.readouterr().err
             assert status == 2
             assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("width", ["x", "1/0", "1/"])
+    def test_unparsable_width(self, capsys, width):
+        status = main(["roots", "--coeffs", "0 1 4 1", "--width", width])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, "")
+        assert captured.err == f"error: cannot parse width from {width!r}\n"
 
 
 class TestAppendix:

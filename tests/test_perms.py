@@ -4,21 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import revstack_sort_by_recursion, stack_sort_by_recursion
 from revstack.perms import (
     deg_revstack,
     deg_stack,
     descents,
     format_permutation,
-    identity,
-    inversions,
     is_identity,
     is_permutation,
-    iterate_revstack,
     parse_permutation,
     reverse,
-    revstack_sort,
     revstack_sort_sim,
-    stack_sort,
     stack_sort_sim,
 )
 
@@ -29,29 +25,47 @@ def perms(max_n=8, min_n=0):
     )
 
 
+def identity(n):
+    return tuple(range(1, n + 1))
+
+
+def inversions(word):
+    """The set of value pairs (b, a) with b > a and b preceding a."""
+    return {(b, a) for i, b in enumerate(word) for a in word[i + 1:] if b > a}
+
+
+def revstack_passes(word, t):
+    """T applied t times."""
+    for _ in range(t):
+        word = revstack_sort_sim(word)
+    return tuple(word)
+
+
 class TestWorkedExamples:
     def test_stack_sort_42513(self):
-        assert stack_sort((4, 2, 5, 1, 3)) == (2, 4, 1, 3, 5)
+        assert stack_sort_by_recursion((4, 2, 5, 1, 3)) == (2, 4, 1, 3, 5)
         assert stack_sort_sim((4, 2, 5, 1, 3)) == (2, 4, 1, 3, 5)
 
     def test_stack_sort_small(self):
-        assert stack_sort((2, 3, 1)) == (2, 1, 3)
+        assert stack_sort_by_recursion((2, 3, 1)) == stack_sort_sim((2, 3, 1)) == (2, 1, 3)
         assert stack_sort_sim((3, 2, 1)) == (1, 2, 3)
-        assert stack_sort(()) == ()
+        assert stack_sort_by_recursion(()) == ()
         assert stack_sort_sim(()) == ()
-        assert stack_sort((1,)) == (1,)
+        assert stack_sort_by_recursion((1,)) == stack_sort_sim((1,)) == (1,)
 
     def test_identity_is_fixed_point(self):
-        assert stack_sort((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
-        assert revstack_sort((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
+        for sort in (stack_sort_by_recursion, stack_sort_sim,
+                     revstack_sort_by_recursion, revstack_sort_sim):
+            assert sort((1, 2, 3, 4, 5)) == (1, 2, 3, 4, 5)
 
     def test_revstack_sort_42513(self):
-        assert revstack_sort((4, 2, 5, 1, 3)) == (1, 3, 2, 4, 5)
+        assert revstack_sort_by_recursion((4, 2, 5, 1, 3)) == (1, 3, 2, 4, 5)
         assert revstack_sort_sim((4, 2, 5, 1, 3)) == (1, 3, 2, 4, 5)
 
     def test_revstack_sort_24153(self):
         # rev(24153) = 35142 through the stack
-        assert revstack_sort((2, 4, 1, 5, 3)) == (3, 1, 2, 4, 5)
+        assert revstack_sort_by_recursion((2, 4, 1, 5, 3)) == (3, 1, 2, 4, 5)
+        assert revstack_sort_sim((2, 4, 1, 5, 3)) == (3, 1, 2, 4, 5)
 
     def test_reverse(self):
         assert reverse((4, 2, 5, 1, 3)) == (3, 1, 5, 2, 4)
@@ -75,6 +89,7 @@ class TestWorkedExamples:
                 assert type(descents(w)) is int
 
     def test_inversions(self):
+        # the helper the precedence tests read, pinned
         assert inversions((1, 2, 3, 4, 5)) == set()
         assert inversions((2, 1)) == {(2, 1)}
         assert inversions((4, 2, 5, 1, 3)) == {
@@ -96,13 +111,6 @@ class TestWorkedExamples:
             with pytest.raises(ValueError) as exc:
                 deg(word)
             assert str(exc.value) == f"not a permutation of 1..{len(word)}: {word!r}"
-
-    def test_iterate(self):
-        assert iterate_revstack((4, 2, 5, 1, 3), 1) == (1, 3, 2, 4, 5)
-        assert iterate_revstack((4, 2, 5, 1, 3), 0) == (4, 2, 5, 1, 3)
-        assert iterate_revstack((2, 4, 1, 3, 5), 2) == (2, 1, 3, 4, 5)
-        with pytest.raises(ValueError):
-            iterate_revstack((1,), -1)
 
 
 class TestTextFormat:
@@ -133,21 +141,22 @@ class TestTextFormat:
 
 class TestOperatorIdentities:
     def test_exhaustive_small(self):
-        for n in range(8):
+        for n in range(9):
             for w in itertools.permutations(range(1, n + 1)):
-                assert stack_sort(w) == stack_sort_sim(w)
-                t = revstack_sort(w)
+                assert stack_sort_by_recursion(w) == stack_sort_sim(w)
+                t = revstack_sort_by_recursion(w)
                 assert t == revstack_sort_sim(w)
-                assert t == stack_sort(reverse(w))
+                assert t == stack_sort_by_recursion(reverse(w))
 
     @given(perms(max_n=10))
     def test_recursion_equals_simulation(self, w):
-        assert stack_sort(w) == stack_sort_sim(w)
-        assert revstack_sort(w) == revstack_sort_sim(w)
+        assert stack_sort_by_recursion(w) == stack_sort_sim(w)
+        assert revstack_sort_by_recursion(w) == revstack_sort_sim(w)
 
     @given(perms(max_n=10))
     def test_revstack_is_stack_of_reverse(self, w):
-        assert revstack_sort(w) == stack_sort(reverse(w))
+        assert revstack_sort_sim(w) == stack_sort_sim(reverse(w))
+        assert revstack_sort_by_recursion(w) == stack_sort_by_recursion(reverse(w))
 
     @given(perms(max_n=10))
     def test_reverse_involution_and_descents(self, w):
@@ -161,10 +170,10 @@ class TestOperatorIdentities:
         n = len(w)
         d = deg_revstack(w)
         assert 0 <= d <= n - 1 or (n == 0 and d == 0)
-        assert is_identity(iterate_revstack(w, n - 1))
-        assert is_identity(iterate_revstack(w, d))
+        assert is_identity(revstack_passes(w, n - 1))
+        assert is_identity(revstack_passes(w, d))
         if d >= 1:
-            assert not is_identity(iterate_revstack(w, d - 1))
+            assert not is_identity(revstack_passes(w, d - 1))
         assert (d == 0) == is_identity(w)
 
     @given(perms(max_n=8))

@@ -132,10 +132,12 @@ class TestDandL:
             assert d_poly(n) + l_poly(n) == eulerian_poly(n)
 
     def test_n1_has_no_second_value(self):
-        # the halved-convolution identity yields 1/2 at n = 1, and the
-        # left/right-of-(n-1) sets are ill-defined there
-        with pytest.raises(ArithmeticError):
-            d_poly(1)
+        # the halved-convolution identity would yield 1/2 at n = 1, and the
+        # left/right-of-(n-1) sets are ill-defined there: both polynomials
+        # reject it by their bound
+        for poly in (d_poly, l_poly):
+            with pytest.raises(ValueError, match="n must be at least 2"):
+                poly(1)
 
     def test_half_of_all(self):
         for n in range(2, 12):

@@ -9,31 +9,23 @@ from oracles import (
     g_map_by_cases,
     h_details_by_tree,
     in_order,
+    revstack_sort_by_recursion,
+    stack_sort_by_recursion,
     tree_of,
     vertices,
 )
-from revstack.perms import (
-    descents,
-    identity,
-    reverse,
-    revstack_sort,
-    revstack_sort_sim,
-    stack_sort,
-    stack_sort_sim,
-)
-from revstack.trees import (
-    duality_f,
-    g_map,
-    h_details,
-    injection_h,
-    tree_walk,
-)
+from revstack.perms import descents, reverse, revstack_sort_sim, stack_sort_sim
+from revstack.trees import h_details, injection_h, tree_walk
 
 WORKED = (8, 7, 9, 4, 6, 1, 10, 2, 3, 5, 11)
 
 
 def all_perms(n):
     return itertools.permutations(range(1, n + 1))
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
 
 
 def perms(max_n=9):
@@ -108,13 +100,13 @@ class TestTreeWalk:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_readings_match_their_definitions(self, n):
         # each reading against a definition that shares no code with the
-        # walk: the word, the sorting recursions of perms, the five-case
-        # recursions of f and g, and the descent count
+        # walk: the word, the sorting recursions, the five-case recursions
+        # of f and g, and the descent count
         for w in all_perms(n):
             walk = tree_walk(w)
             assert walk.in_order == w
-            assert walk.s == stack_sort(w)
-            assert walk.t == revstack_sort(w)
+            assert walk.s == stack_sort_by_recursion(w)
+            assert walk.t == revstack_sort_by_recursion(w)
             assert walk.f == duality_f_by_cases(w)
             assert walk.g == g_map_by_cases(w)
             assert walk.right_edges == descents(w)
@@ -126,17 +118,17 @@ class TestTreeWalk:
 
 class TestDuality:
     def test_fixed_point_231(self):
-        assert duality_f((2, 3, 1)) == (2, 3, 1)
+        assert tree_walk((2, 3, 1)).f == (2, 3, 1)
 
     def test_identity_maps_to_reverse(self):
         for n in range(1, 8):
-            assert duality_f(identity(n)) == reverse(identity(n))
+            assert tree_walk(identity(n)).f == reverse(identity(n))
 
     def test_exhaustive_properties(self):
         for n in range(1, 7):
             for w in all_perms(n):
-                f = duality_f(w)
-                assert duality_f(f) == w
+                f = tree_walk(w).f
+                assert tree_walk(f).f == w
                 assert descents(w) + descents(f) == n - 1
                 assert stack_sort_sim(f) == stack_sort_sim(w)
                 assert revstack_sort_sim(f) == revstack_sort_sim(w)
@@ -144,19 +136,19 @@ class TestDuality:
     @given(perms(max_n=9))
     @settings(deadline=None)
     def test_involution_random(self, w):
-        assert duality_f(duality_f(w)) == w
+        assert tree_walk(tree_walk(w).f).f == w
 
     def test_g_bases(self):
-        assert duality_f(()) == g_map(()) == ()
-        assert duality_f((1,)) == g_map((1,)) == (1,)
-        assert g_map((2, 3, 1)) == (1, 3, 2)
+        assert tree_walk(()).f == tree_walk(()).g == ()
+        assert tree_walk((1,)).f == tree_walk((1,)).g == (1,)
+        assert tree_walk((2, 3, 1)).g == (1, 3, 2)
 
     def test_g_is_conjugate_exhaustive(self):
         for n in range(1, 8):
             for w in all_perms(n):
-                g = g_map(w)
-                assert g == duality_f(reverse(w))
-                assert g == reverse(duality_f(w))
+                walk = tree_walk(w)
+                assert walk.g == tree_walk(reverse(w)).f
+                assert walk.g == reverse(walk.f)
 
 
 def vertex_labels(w):

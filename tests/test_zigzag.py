@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import interrupted_by_definition, scan_degree, scan_zigzag
+from oracles import interrupted_by_definition, is_zigzag, scan_degree, scan_zigzag
 from revstack.patterns import contains_classical, parse_pattern
 from revstack.perms import deg_revstack, is_identity
 from revstack.zigzag import (
@@ -12,8 +12,6 @@ from revstack.zigzag import (
     _interrupted,
     find_uninterrupted_zigzag,
     find_zigzag,
-    is_interrupted,
-    is_zigzag,
     max_zigzag_degree,
     zigzag_degrees,
 )
@@ -91,24 +89,39 @@ class TestWorkedExamples:
     W_LONG = (4, 6, 11, 8, 3, 2, 10, 12, 7, 1, 9, 5)
 
     def test_contains_the_illustrated_3_zigzag(self):
-        assert is_zigzag(self.W, (7, 6, 5, 4, 2))
-        assert not is_interrupted(self.W, (7, 6, 5, 4, 2))
+        z = (7, 6, 5, 4, 2)
+        assert is_zigzag(self.W, z)
+        assert not interrupted_by_definition(self.W, z)
+        assert not _interrupted(self.W, z)
 
     def test_lex_largest_3_zigzag(self):
         # (8,6,5,4,3) is also a 3-zigzag and beats (7,...) lexicographically
         z = find_zigzag(self.W, 3)
         assert z.values == (8, 6, 5, 4, 3)
         assert not z.interrupted
+        assert not interrupted_by_definition(self.W, z.values)
         assert find_uninterrupted_zigzag(self.W, 3).values == (8, 6, 5, 4, 3)
 
     def test_interrupted_variant(self):
-        # the 8 moved between 4 and 6 interrupts the odd entries
-        assert is_interrupted(self.W_PRIME, (7, 6, 5, 4, 2))
+        # the 8 moved between 4 and 6 interrupts the odd entries, and the
+        # lexicographically largest 3-zigzag now starts at 7
+        z = (7, 6, 5, 4, 2)
+        assert is_zigzag(self.W_PRIME, z)
+        assert interrupted_by_definition(self.W_PRIME, z)
+        assert _interrupted(self.W_PRIME, z)
+        found = find_zigzag(self.W_PRIME, 3)
+        assert found == Zigzag((7, 6, 5, 4, 3), True)
+        assert interrupted_by_definition(self.W_PRIME, found.values)
 
     def test_interrupted_long_example(self):
         # an 11 sits between the even entries 8 and 6
-        assert is_zigzag(self.W_LONG, (10, 9, 8, 7, 6, 5))
-        assert is_interrupted(self.W_LONG, (10, 9, 8, 7, 6, 5))
+        z = (10, 9, 8, 7, 6, 5)
+        assert is_zigzag(self.W_LONG, z)
+        assert interrupted_by_definition(self.W_LONG, z)
+        assert _interrupted(self.W_LONG, z)
+        found = find_zigzag(self.W_LONG, 4)
+        assert found == Zigzag((12, 9, 8, 7, 6, 5), True)
+        assert interrupted_by_definition(self.W_LONG, found.values)
 
     def test_identity_has_nothing(self):
         for k in range(5):
@@ -127,10 +140,13 @@ class TestWorkedExamples:
         assert deg_revstack((4, 2, 5, 1, 3)) == 3
 
     def test_invalid_zigzag_rejected(self):
-        with pytest.raises(ValueError):
-            is_interrupted((1, 3, 2), (2, 3, 1))
-        with pytest.raises(ValueError):
-            is_interrupted((1, 3, 2), (3, 1, 2))
+        # the definition the finders are checked against: not decreasing,
+        # an entry on the wrong side of z_0, a value not in the word
+        assert not is_zigzag((1, 3, 2), (2, 3, 1))
+        assert not is_zigzag((1, 3, 2), (3, 1, 2))
+        assert not is_zigzag((2, 1, 3), (3, 1))
+        assert not is_zigzag((1, 3, 2), (4, 2))
+        assert is_zigzag((1, 3, 2), (3, 2, 1))
 
     def test_json(self):
         z = find_zigzag(self.W, 3)
@@ -246,14 +262,14 @@ class TestFastDegrees:
             assert is_zigzag(w, z.values)
             assert isinstance(z, Zigzag)
             assert z.k == k
-            assert is_interrupted(w, z.values) == z.interrupted
+            assert interrupted_by_definition(w, z.values) == z.interrupted
         for k in range(maxu + 1):
             z = find_uninterrupted_zigzag(w, k)
             assert isinstance(z, Zigzag)
             assert is_zigzag(w, z.values)
             assert z.k == k
             assert z.interrupted is False
-            assert not is_interrupted(w, z.values)
+            assert not interrupted_by_definition(w, z.values)
 
 
 class TestFindersAgainstScan:
