@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import revstack_sort_by_recursion, stack_sort_by_recursion
+from revstack.cli import main
 from revstack.perms import (
     deg_revstack,
     deg_stack,
@@ -103,6 +104,18 @@ class TestWorkedExamples:
         # T: 42513 -> 13245 -> 21345 -> id
         assert deg_revstack((4, 2, 5, 1, 3)) == 3
         assert deg_revstack(()) == deg_stack(()) == 0
+
+    def test_iterate(self, capsys):
+        # T applied t times, as a loop of one-pass sorts and through sort --times
+        for word, t, want in (((4, 2, 5, 1, 3), 1, (1, 3, 2, 4, 5)),
+                              ((4, 2, 5, 1, 3), 0, (4, 2, 5, 1, 3)),
+                              ((2, 4, 1, 3, 5), 2, (2, 1, 3, 4, 5))):
+            assert revstack_passes(word, t) == want
+            assert main(["sort", "--op", "revstack", "--times", str(t),
+                         format_permutation(word)]) == 0
+            assert capsys.readouterr().out.strip() == format_permutation(want)
+        assert main(["sort", "--op", "revstack", "--times", "-1", "1"]) == 2
+        assert capsys.readouterr().err == "error: iteration count must be non-negative\n"
 
     @pytest.mark.parametrize("word", [(2, 3), (1, 1), (0,)])
     def test_degrees_reject_non_permutations(self, word):
