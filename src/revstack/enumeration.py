@@ -2,23 +2,24 @@
 the degree-(n-2) classification, zigzag-free counts, and reproduction of
 the reference coefficient/root tables.
 
-Every sweep of S_n goes through one engine, _sweep: n independent
-shards whose exact results each consumer merges in shard order, so
-results are identical for any worker count.  Sweeps read a permutation's
-degree from the memoised byte array of S_(n-1) degrees (_degree_array),
-handed to each worker once.  The theorem suite and the zigzag counts
-shard by first element; the theorem pass computes T(w), S(w), the
-descent count, both degrees and the readings of one walk of the
-decreasing tree (trees.tree_walk) once per permutation and feeds them to
-every per-permutation check, and each check reports the
-lexicographically least permutation it fails on.  Descent tables and
-the degree arrays shard by the position of n and make no sorting pass
-over S_n (their kernels are in split): a table shard works on sorted
-patterns, and an array shard writes one block of degrees per left side
-L of w = L n R and split of the values, made once per sorted pattern of
-L.  Hard cap n <= 13, the largest size timed (about 1.5 minutes per
-sorter on two cores, with about 2 GB resident in the parent and its
-largest worker together).
+Every sweep of S_n goes through one engine, _sweep: independent shards
+whose exact results each consumer merges in shard order, so results are
+identical for any worker count.  Sweeps read a permutation's degree from
+the memoised byte array of S_(n-1) degrees (_degree_array), handed to
+each worker once.  The theorem suite and the zigzag counts shard S_n by
+its n(n-1) two-letter prefixes, in lexicographic order.  The theorem
+pass computes T(w), S(w), the descent count, both degrees and the
+readings of one walk of the decreasing tree (trees.tree_walk) once per
+permutation, for a block of consecutive permutations at a time, and runs
+each per-permutation check over the whole block before the next check;
+each check reports the lexicographically least permutation it fails on.
+Descent tables and the degree arrays shard by the position of n and make
+no sorting pass over S_n (their kernels are in split): a table shard
+works on sorted patterns, and an array shard writes one block of degrees
+per left side L of w = L n R and split of the values, made once per
+sorted pattern of L.  Hard cap n <= 13, the largest size timed (about
+1.5 minutes per sorter on two cores, with about 2 GB resident in the
+parent and its largest worker together).
 
 verify_theorems, verify_steingrimsson, classify_degree_nm2 and
 reproduce_appendix read descent tables only through a table(n, sorter)
@@ -77,11 +78,21 @@ DEGREE = {"revstack": deg_revstack, "stack": deg_stack}
 SORTERS = tuple(DEGREE)
 
 
-def permutations_with_first(n: int, first: int) -> Iterator[Word]:
-    """Lexicographic stream of the S_n shard with a fixed first element."""
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        yield (first,) + tail
+def _prefix_shards(n: int) -> int:
+    """The number of two-letter prefix shards of S_n: n(n-1), and one at n = 1."""
+    return n * (n - 1) or 1
+
+
+def _with_prefix(n: int, i: int) -> Iterator[Word]:
+    """Lexicographic stream of shard i = 1.._prefix_shards(n) of S_n: the
+    permutations whose first two letters are the i-th two-letter prefix in
+    lexicographic order.  Shard i + 1 follows shard i in S_n."""
+    if n == 1:
+        return iter([(1,)])
+    first, second = divmod(i - 1, n - 1)
+    rest = [v for v in range(1, n + 1) if v != first + 1]
+    head = (first + 1, rest.pop(second))
+    return (head + tail for tail in itertools.permutations(rest))
 
 
 def _check_n(n: int) -> None:
@@ -110,28 +121,30 @@ def _run(shard: Callable, n: int, i: int, args: tuple):
 
 
 def _sweep(n: int, shard: Callable, jobs: Optional[int], arrays: tuple[bytes, ...], *args,
-           pool_from: int = 5) -> list:
-    """shard(n, i, *arrays, *args) for each shard i = 1..n, in shard order.
-    jobs > 1 (None: one per CPU) runs the shards in a process pool when
-    n >= pool_from.  The pool machinery (concurrent.futures and
-    multiprocessing) is imported only then, so a run that never pools
-    never loads it; a pool costs about 20 ms to start, and the first one
-    in a process about 17 ms more for that import.  Each worker gets the
-    degree arrays once, through the pool initializer, under any start
-    method.  The pool starts the shards from i = n down, so the heavy array shards
-    next to the end go first; callers merge the results by index, so
-    neither jobs nor that order changes them."""
+           shards: Optional[int] = None, pool_from: int = 5) -> list:
+    """shard(n, i, *arrays, *args) for each shard i = 1..shards (default n),
+    in shard order.  jobs > 1 (None: one per CPU) runs the shards in a
+    process pool of min(jobs, n) workers when n >= pool_from.  The pool
+    machinery (concurrent.futures and multiprocessing) is imported only
+    then, so a run that never pools never loads it; a pool costs about
+    20 ms to start, and the first one in a process about 17 ms more for
+    that import.  Each worker gets the degree arrays once, through the
+    pool initializer, under any start method.  The pool starts the shards
+    from the last down, so the heavy array shards next to the end go
+    first; callers merge the results by index, so neither jobs nor that
+    order changes them."""
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, n))
+    count = shards or n
     if jobs == 1 or n < pool_from:
-        return [shard(n, i, *arrays, *args) for i in range(1, n + 1)]
+        return [shard(n, i, *arrays, *args) for i in range(1, count + 1)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
                              initargs=(arrays,)) as pool:
-        futures = {i: pool.submit(_run, shard, n, i, args) for i in range(n, 0, -1)}
-        return [futures[i].result() for i in range(1, n + 1)]
+        futures = {i: pool.submit(_run, shard, n, i, args) for i in range(count, 0, -1)}
+        return [futures[i].result() for i in range(1, count + 1)]
 
 
 _DEGREE_ARRAYS: dict[tuple[int, str], bytes] = {}
@@ -463,35 +476,55 @@ _PERMUTATION_CHECKS = (
 _INJECTION_CHECK = "descent-raising injection"
 
 
-def _check_shard(n: int, first: int, prev_t: bytes, prev_s: bytes) -> tuple:
-    """One lexicographic pass over the shard of S_n starting with first;
-    prev_t and prev_s are the revstack and stack degree arrays of S_(n-1).
+# Permutations per check-major block of a theorem shard.  The serial pass
+# over S_7 took 0.52 s with blocks of 1, 0.40 s with 24 and 0.39 s with
+# 120; a whole shard as one block would hold 40 320 rows at n = 10.
+_BLOCK = 120
+
+
+def _check_shard(n: int, i: int, prev_t: bytes, prev_s: bytes) -> tuple:
+    """Shard i of the theorem pass over S_n, in the lexicographic order of
+    _with_prefix; prev_t and prev_s are the revstack and stack degree
+    arrays of S_(n-1).  The shard runs check-major over blocks of _BLOCK
+    consecutive permutations: the readings of the whole block first, then
+    each check over the block, then the injection and the
+    stack/reverse/stack count.  A check that fails is skipped for the rest
+    of the shard, so each check keeps the first permutation it fails on.
     Returns the first counterexample of each failing per-permutation check;
     the descent-raising injection's (h(w), w) pairs, up to the shard's
     first injection failure, whose collisions the merge looks for; and the
-    descents of the permutations that stack/reverse/stack sorts.  A check
-    that fails is skipped for the rest of the shard."""
+    descents of the permutations that stack/reverse/stack sorts."""
     first_bad: dict[str, str] = {}
     pairs: list[tuple[Word, Word]] = []
     stack_rev_stack = [0] * n
-    for w in permutations_with_first(n, first):
-        s = stack_sort_sim(w)
-        t = revstack_sort_sim(w)
-        des = descents(w)
-        deg_t = _degree(w, t, prev_t)
-        deg_s = _degree(w, s, prev_s)
-        walk = trees.tree_walk(w)
+    identity = tuple(range(1, n + 1))
+    low = (n - 3) // 2
+    stream = _with_prefix(n, i)
+    while block := list(itertools.islice(stream, _BLOCK)):
+        rows = []
+        for w in block:
+            s = stack_sort_sim(w)
+            t = revstack_sort_sim(w)
+            rows.append((w, s, t, descents(w), _degree(w, t, prev_t), _degree(w, s, prev_s),
+                         trees.tree_walk(w)))
         for name, pred in _PERMUTATION_CHECKS:
-            if name not in first_bad and not pred(w, s, t, des, deg_t, deg_s, walk):
-                first_bad[name] = format_permutation(w)
-        if _INJECTION_CHECK not in first_bad and des <= (n - 3) // 2:
-            h = trees.injection_h(w)
-            if descents(h) != des + 1 or stack_sort_sim(h) != s or revstack_sort_sim(h) != t:
-                first_bad[_INJECTION_CHECK] = format_permutation(w)
-            else:
-                pairs.append((h, w))
-        if is_identity(stack_sort_sim(reverse(s))):
-            stack_rev_stack[des] += 1
+            if name not in first_bad:
+                for row in rows:
+                    if not pred(*row):
+                        first_bad[name] = format_permutation(row[0])
+                        break
+        if _INJECTION_CHECK not in first_bad:
+            for w, s, t, des, *_ in rows:
+                if des <= low:
+                    h = trees.injection_h(w)
+                    if (descents(h) != des + 1 or stack_sort_sim(h) != s
+                            or revstack_sort_sim(h) != t):
+                        first_bad[_INJECTION_CHECK] = format_permutation(w)
+                        break
+                    pairs.append((h, w))
+        for w, s, t, des, *_ in rows:
+            if stack_sort_sim(reverse(s)) == identity:
+                stack_rev_stack[des] += 1
     return first_bad, pairs, stack_rev_stack
 
 
@@ -571,7 +604,8 @@ def verify_theorems(
     _check_n(n)
     table = table or functools.partial(descent_table, jobs=jobs)
     arrays = (_degree_array(n - 1, "revstack", jobs), _degree_array(n - 1, "stack", jobs))
-    bads, pair_lists, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays))
+    bads, pair_lists, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays,
+                                                     shards=_prefix_shards(n)))
     first_bad: dict[str, str] = {}
     # h raises the descent count by exactly one, so images of permutations
     # with different descent counts cannot collide and one dict serves all.
@@ -806,14 +840,14 @@ def classify_degree_nm2(
 
 # -- zigzag-free counting ----------------------------------------------------
 
-def _zigzag_shard(n: int, first: int, prev: bytes) -> tuple[list[int], list[int], list[int]]:
-    """Histograms of maxz + 1, the revstack degree and maxu + 1 over the
-    shard starting with first, asserting the bracketing
+def _zigzag_shard(n: int, i: int, prev: bytes) -> tuple[list[int], list[int], list[int]]:
+    """Histograms of maxz + 1, the revstack degree and maxu + 1 over shard
+    i of S_n (_with_prefix), asserting the bracketing
     maxu < degree <= maxz + 1; prev is the revstack degree array of S_(n-1)."""
     hz = [0] * (n + 1)
     hd = [0] * (n + 1)
     hu = [0] * (n + 1)
-    for w in permutations_with_first(n, first):
+    for w in _with_prefix(n, i):
         maxz, maxu = zigzag.zigzag_degrees(w)
         degree = _degree(w, revstack_sort_sim(w), prev)
         if not maxu < degree <= maxz + 1:
@@ -835,7 +869,7 @@ def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int
     if not 1 <= n <= 10:
         raise ValueError("zigzag-free counting supported for 1 <= n <= 10")
     prev = _degree_array(n - 1, "revstack", jobs)
-    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs, (prev,)))
+    hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs, (prev,), shards=_prefix_shards(n)))
     # No k-zigzag means maxz < k, that is maxz + 1 <= k.
     return {k: (sum(hz[:k + 1]), sum(hd[:k + 1]), sum(hu[:k + 1])) for k in range(n + 1)}
 

@@ -159,9 +159,10 @@ def _walk(word: Sequence[int], sort: Callable[[Sequence[int]], Word]) -> int:
     permutation of 1..n there in at most n - 1 passes (the empty word in
     none), so a word that takes more is no permutation and raises
     ValueError."""
-    w = word
+    identity = tuple(range(1, len(word) + 1))
+    w = tuple(word)
     for d in range(len(word)):
-        if is_identity(w):
+        if w == identity:
             return d
         w = sort(w)
     if not word:

@@ -26,12 +26,12 @@ from revstack.enumeration import (
     _degree_array,
     _digest,
     _is_sound,
+    _with_prefix,
     cached_descent_table,
     classify_degree_nm2,
     degree_nm2_classes,
     descent_table,
     load_reference_tables,
-    permutations_with_first,
     reproduce_appendix,
     resolve_cache_dir,
     verify_steingrimsson,
@@ -185,13 +185,14 @@ class TestDescentTable:
             descent_table(0)
 
     def test_sharding_partitions(self):
-        seen = set()
-        for first in range(1, 6):
-            shard = list(permutations_with_first(5, first))
-            assert all(w[0] == first for w in shard)
-            assert len(shard) == 24
-            seen.update(shard)
-        assert len(seen) == 120
+        # the n(n-1) two-letter prefix shards, read in shard order, are S_5
+        # in lexicographic order, each shard one prefix
+        assert enumeration._prefix_shards(5) == 20
+        shards = [list(_with_prefix(5, i)) for i in range(1, 21)]
+        assert all(len(shard) == 6 and len({w[:2] for w in shard}) == 1 for shard in shards)
+        assert [w for shard in shards for w in shard] == list(itertools.permutations(range(1, 6)))
+        assert enumeration._prefix_shards(1) == 1
+        assert list(_with_prefix(1, 1)) == [(1,)]
 
     def test_determinism_across_jobs(self):
         serial = descent_table(6, "revstack", jobs=1)
@@ -708,6 +709,66 @@ class TestTheoremSuite:
             "two-pass sortable iff avoids 2431 and barred 241(5)3": "2 6 5 1 3 4",
             "descent-raising injection": f"collision: {early} and {late} both map to {h(early)}",
         }
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the injected faults")
+    def test_check_major_blocks_keep_each_least_counterexample(self, monkeypatch):
+        # blocks of 5 in the 24-permutation shard with prefix 3 1 of S_6: the
+        # 2431 check fails in its first two blocks and in a later shard, and
+        # in the first block the zigzag check, which runs after it, fails on
+        # an earlier permutation than it does
+        monkeypatch.setattr(enumeration, "_BLOCK", 5)
+        shard = list(_with_prefix(6, 11))
+        assert shard[0][:2] == (3, 1)
+        wrong_t2 = {shard[3], shard[6], (5, 1, 2, 3, 4, 6)}
+        wrong_z = {shard[1], shard[4]}
+        member = patterns.is_member_T2
+        monkeypatch.setattr(patterns, "is_member_T2", lambda w: member(w) != (w in wrong_t2))
+        degrees = zigzag.zigzag_degrees
+        monkeypatch.setattr(zigzag, "zigzag_degrees",
+                            lambda w: (-1, len(w)) if w in wrong_z else degrees(w))
+        reports = [verify_theorems(6, jobs) for jobs in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        assert {c.name: c.counterexample for c in reports[0].checks if not c.ok} == {
+            "two-pass sortable iff avoids 2431 and barred 241(5)3": " ".join(map(str, shard[3])),
+            "zigzag bracketing": " ".join(map(str, shard[1])),
+        }
+
+    def test_theorem_pass_asks_for_at_most_n_workers(self, monkeypatch):
+        # a stub pool records max_workers and runs each shard in this
+        # process when it is submitted: the n(n-1) prefix shards of S_6 get
+        # min(jobs, 6) workers, and the same report as a serial pass
+        import concurrent.futures
+        asked = []
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                return self.value
+
+        class StubPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Done(fn(*args))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(enumeration, "_ARRAYS", ())
+        serial = verify_theorems(6, 1)
+        assert asked == []
+        for jobs in (2, 4, 64):
+            assert verify_theorems(6, jobs) == serial
+        assert asked == [2, 4, 6]
 
     @pytest.mark.parametrize("reading", ["g for f", "S and T swapped", "one more right edge"])
     def test_each_walk_reading_is_checked(self, monkeypatch, reading):
