@@ -22,6 +22,7 @@ from .perms import (
 from .patterns import (
     Occurrence,
     PatternSpec,
+    avoids_132,
     check_sorted_132_witnesses,
     contains_barred,
     contains_classical,

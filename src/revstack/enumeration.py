@@ -414,7 +414,7 @@ def _pred_precedence_lemmas(w: Word, s: Word, t: Word, des: int, deg_t: int, deg
 
 def _pred_deg1_is_132_avoidance(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
                                 walk: trees.TreeWalk) -> bool:
-    return (deg_t <= 1) == (patterns.contains_classical(w, patterns.PATTERN_132) is None)
+    return (deg_t <= 1) == patterns.avoids_132(w)
 
 
 def _pred_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
@@ -866,8 +866,8 @@ def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int
     bracketing max-uninterrupted-degree < sorting degree <= max-degree + 1
     that makes the outer counts bound the middle one.  Every k > n gives
     the k = n counts (n!)."""
-    if not 1 <= n <= 10:
-        raise ValueError("zigzag-free counting supported for 1 <= n <= 10")
+    if not 1 <= n <= 11:
+        raise ValueError("zigzag-free counting supported for 1 <= n <= 11")
     prev = _degree_array(n - 1, "revstack", jobs)
     hz, hd, hu = _add_counts(_sweep(n, _zigzag_shard, jobs, (prev,), shards=_prefix_shards(n)))
     # No k-zigzag means maxz < k, that is maxz + 1 <= k.
@@ -878,15 +878,21 @@ def zigzag_free_table(n: int, jobs: Optional[int] = None) -> dict[int, tuple[int
 
 def load_reference_tables(path: Optional[str | Path] = None) -> list[dict]:
     """The entries of a reference-table file: the packaged appendix data
-    when path is None, otherwise the given golden file.  Raises ValueError
-    for another format_version, missing or empty entries, or an entry that
-    reproduce_appendix cannot read."""
+    when path is None, otherwise the given golden file.  Raises ValueError,
+    naming the file, for a file that is not UTF-8 JSON, a top level that is
+    not an object, another format_version, missing or empty entries, or an
+    entry that reproduce_appendix cannot read."""
     if path is None:
         source = Path(__file__).with_name("appendix_data.json")
     else:
         source = Path(path)
-    blob = json.loads(source.read_text())
-    if not isinstance(blob, dict) or blob.get("format_version") != 1:
+    try:
+        blob = json.loads(source.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ValueError(f"cannot parse reference tables from {str(source)!r}") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{source}: not a reference-table object")
+    if blob.get("format_version") != 1:
         raise ValueError(f"{source}: unsupported format_version")
     entries = blob.get("entries")
     if not entries or not isinstance(entries, list):

@@ -10,6 +10,12 @@ values renormalised) that CANNOT be extended to an occurrence of the full
 unbarred pattern by inserting a single host element at the barred slot.
 Avoidance means every occurrence of the reduction extends.
 
+Membership in the three pattern classes the theorems name (avoids_132,
+is_member_T2, is_member_S2) is answered by direct scans written for those
+patterns, with no witness.  Witnesses, and any other pattern, come from
+the backtracking engine below, which the tests also use as the reference
+for the scans.
+
 Occurrences are found by backtracking in one loop over an explicit stack
 of chosen indices (_occurrences), in lexicographic order of positions, so
 the first one is the least witness.  A candidate letter is tried with one
@@ -210,8 +216,8 @@ def _extends(word: Word, slot: tuple[Word, int, int, int, int], occ: Occurrence)
     _, left, right, below, above = slot
     lo_pos = occ.positions[left] if left >= 0 else 0
     hi_pos = occ.positions[right] if right >= 0 else len(word) + 1
-    lo_val = occ.values[below] if below >= 0 else 0
-    hi_val = occ.values[above] if above >= 0 else len(word) + 1
+    lo_val = occ.values[below] if below >= 0 else -math.inf
+    hi_val = occ.values[above] if above >= 0 else math.inf
     for v in word[lo_pos:hi_pos - 1]:
         if lo_val < v < hi_val:
             return True
@@ -230,28 +236,87 @@ def contains_barred(word: Sequence[int], pattern: PatternSpec) -> Optional[Occur
     return next((occ for occ in _occurrences(w, slot[0]) if not _extends(w, slot, occ)), None)
 
 
+def avoids_132(word: Sequence[int]) -> bool:
+    """Whether the word avoids 132, by one right-to-left scan.  The stack
+    holds a decreasing run of values; a value that pops smaller ones is a
+    3 with those 2s to its right, and mid is the largest 2 popped so far,
+    so any later (further left) value below mid is a 1.
+
+    >>> avoids_132((3, 1, 2)), avoids_132((2, 5, 3))
+    (True, False)
+    """
+    stack: list[int] = []
+    mid = -math.inf
+    for x in reversed(word):
+        if x < mid:
+            return False
+        while stack and stack[-1] < x:
+            mid = stack.pop()
+        stack.append(x)
+    return True
+
+
 def is_member_T2(word: Sequence[int]) -> bool:
     """Whether the word avoids 2431 and the barred pattern 241(5)3.
 
     This is the pattern characterisation of the permutations sorted by at
     most two revstack passes; the test suite checks it against the
     iteration oracle exhaustively.
+
+    One scan right of each letter b, the 2 of both patterns, keeping top,
+    the largest value after b so far (the best 4).  A value in (b, top) is
+    a 3 of 2431, and closes a 2413 when a 1 below b came after top was
+    last raised (armed); raising top puts a value above the 4 between that
+    1 and anything later, which is the extension the bar allows.  A value
+    below b after a 3 closes a 2431.
     """
     w = tuple(word)
-    return (
-        contains_classical(w, REVSTACK_T2_CLASSICAL) is None
-        and contains_barred(w, REVSTACK_T2_BARRED) is None
-    )
+    for i in range(len(w) - 3):
+        b = top = w[i]
+        three = armed = False
+        for v in w[i + 1:]:
+            if v > top:
+                top = v
+                armed = False
+            elif v > b:
+                if armed:
+                    return False
+                three = True
+            elif three:
+                return False
+            elif top > b:
+                armed = True
+    return True
 
 
 def is_member_S2(word: Sequence[int]) -> bool:
     """West's companion: avoidance of 2341 and barred 3(5)241 characterises
-    the permutations sorted by at most two stack passes."""
+    the permutations sorted by at most two stack passes.
+
+    For each letter c, the 4 of both patterns, with m the least value
+    right of it (the best 1), one scan of the values left of c.  Those in
+    (m, c) must fall, or two of them are the 2 and 3 of a 2341, and no two
+    of them may share a stretch free of values above c, or they are the 3
+    and 2 of a 3241 with no 5 between them.
+    """
     w = tuple(word)
-    return (
-        contains_classical(w, STACK_S2_CLASSICAL) is None
-        and contains_barred(w, STACK_S2_BARRED) is None
-    )
+    m = math.inf
+    for k in range(len(w) - 2, 1, -1):
+        if w[k + 1] < m:
+            m = w[k + 1]
+        c = w[k]
+        if m < c:
+            low = math.inf
+            taken = False
+            for v in w[:k]:
+                if v > c:
+                    taken = False
+                elif v > m:
+                    if taken or v > low:
+                        return False
+                    low = v
+                    taken = True
+    return True
 
 
 class SortedPatternWitness(NamedTuple):

@@ -13,7 +13,7 @@ counterexamples to the sorting bound starting at n = 7 (3615724 has a
 (7,4,3,2,1) zigzag with nothing above 7, yet three passes sort it; the
 value 6 between the even entries 3 and 1 is what actually disturbs the
 stack).  With the pair-wise threshold the bound "an uninterrupted k-zigzag
-forbids sorting in k passes" holds exhaustively for all n <= 10.
+forbids sorting in k passes" holds exhaustively for all n <= 11.
 
 Window lemma.  Let window(v) be the open position interval between the
 nearest values greater than v on either side.  A zigzag is uninterrupted

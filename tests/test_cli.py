@@ -221,6 +221,20 @@ class TestPolyAndCount:
         assert asked == [1, 2]
         assert outs["1"] == outs["2"] == (0, "422\n")
 
+    def test_zigzag_free_above_the_cap_runs_no_sweep(self, capsys, monkeypatch):
+        from revstack import enumeration
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no sweep may start")
+
+        monkeypatch.setattr(enumeration, "_sweep", refuse)
+        monkeypatch.setattr(enumeration, "_degree_array", refuse)
+        for flags in ((), ("--k", "2")):
+            status = main(["count", "--what", "zigzag-free", "--n", "12", *flags])
+            captured = capsys.readouterr()
+            assert (status, captured.out) == (2, "")
+            assert captured.err == "error: zigzag-free counting supported for 1 <= n <= 11\n"
+
     def test_zigzag_free_negative_k(self, capsys):
         status, out = run(capsys, "count", "--what", "zigzag-free", "--n", "5", "--k", "-1")
         assert status == 2
@@ -663,6 +677,19 @@ class TestAppendix:
         err = capsys.readouterr().err
         assert status == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"not json", "cannot parse reference tables from {!r}"),
+        (b'{"format_version": 1, "entries": ["\xff"]}', "cannot parse reference tables from {!r}"),
+        (b"[1]", "{}: not a reference-table object"),
+    ])
+    def test_unreadable_golden_file_is_named(self, capsys, tmp_path, content, message):
+        golden = tmp_path / "golden.json"
+        golden.write_bytes(content)
+        status = main(["appendix", "--max-n", "1", "--golden", str(golden), "--no-cache"])
+        captured = capsys.readouterr()
+        assert (status, captured.out) == (2, "")
+        assert captured.err == f"error: {message.format(str(golden))}\n"
 
     def test_golden_file_without_entries(self, capsys, tmp_path):
         golden = tmp_path / "golden.json"

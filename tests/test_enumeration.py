@@ -975,7 +975,7 @@ class TestZigzagFree:
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            zigzag_free_table(11)
+            zigzag_free_table(12)
         with pytest.raises(ValueError):
             zigzag_free_table(0)
 

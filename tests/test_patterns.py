@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import witnesses_by_definition
@@ -9,11 +9,14 @@ from revstack.patterns import (
     PATTERN_132,
     REVSTACK_T2_BARRED,
     REVSTACK_T2_CLASSICAL,
+    STACK_S2_BARRED,
+    STACK_S2_CLASSICAL,
     Occurrence,
     PatternSpec,
     _occurrences,
     _report,
     _witnesses,
+    avoids_132,
     check_sorted_132_witnesses,
     contains_barred,
     contains_classical,
@@ -186,6 +189,15 @@ class TestBarred:
         assert is_member_T2((2, 4, 1, 5, 3))
         assert not is_member_T2((2, 4, 1, 3, 5))
         assert is_member_T2((1, 2, 3, 4, 5))
+        assert not is_member_S2((2, 3, 4, 1))
+        assert is_member_S2((3, 5, 2, 4, 1))
+        assert not is_member_S2((3, 2, 4, 1))
+        # no word shorter than 4 holds a 4-letter pattern; of them only
+        # 132 itself contains 132
+        for n in range(4):
+            for w in all_perms(n):
+                assert is_member_T2(w) and is_member_S2(w), w
+                assert avoids_132(w) == (w != (1, 3, 2)), w
 
     def test_t2_characterisation_exhaustive(self):
         for n in range(7):
@@ -210,6 +222,47 @@ class TestBarred:
                     and contains_classical(w, p24351) is None
                 )
                 assert lhs == is_member_T2(w)
+
+
+def member_by_engine(w, classical, barred):
+    return contains_classical(w, classical) is None and contains_barred(w, barred) is None
+
+
+def check_scans_match_engine(w):
+    assert avoids_132(w) == (contains_classical(w, PATTERN_132) is None), w
+    assert is_member_T2(w) == member_by_engine(w, REVSTACK_T2_CLASSICAL, REVSTACK_T2_BARRED), w
+    assert is_member_S2(w) == member_by_engine(w, STACK_S2_CLASSICAL, STACK_S2_BARRED), w
+
+
+class TestMembershipScans:
+    """avoids_132, is_member_T2 and is_member_S2 scan for their patterns
+    directly; the backtracking engine is their reference."""
+
+    def test_scans_match_engine(self):
+        for n in range(9):
+            for w in all_perms(n):
+                check_scans_match_engine(w)
+
+    @pytest.mark.extended
+    def test_scans_match_engine_at_9(self):
+        for w in all_perms(9):
+            check_scans_match_engine(w)
+
+    # In the first two examples the 100 and the 50 sit in the bar slot,
+    # above the 4, so neither word contains its barred pattern.
+    @given(st.lists(st.integers(-20, 20), unique=True, max_size=9))
+    @example([2, 4, 1, 100, 3])
+    @example([3, 50, 2, 4, 1])
+    @example([-3, -1, -4, 0, -2])
+    @settings(max_examples=500, deadline=None)
+    def test_scans_match_engine_on_any_distinct_integers(self, word):
+        # no sentinel may stand in for "no value": 0, the length and the
+        # length + 1 are all possible letters here
+        w = tuple(word)
+        check_scans_match_engine(w)
+        for text in BARRED_ORACLE_PATTERNS:
+            pattern = parse_pattern(text)
+            assert contains_barred(w, pattern) == first_unextendable_by_brute_force(w, pattern)
 
 
 @st.composite
