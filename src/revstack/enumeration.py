@@ -10,9 +10,9 @@ each worker once.  The theorem suite and the zigzag counts shard S_n by
 its n(n-1) two-letter prefixes, in lexicographic order.  The theorem
 pass computes T(w), S(w), the descent count, both degrees and the
 readings of one walk of the decreasing tree (trees.tree_walk) once per
-permutation, for a block of consecutive permutations at a time, and runs
-each per-permutation check over the whole block before the next check;
-each check reports the lexicographically least permutation it fails on.
+permutation, a block at a time, and runs each per-permutation check, the
+descent-raising injection among them, over the block before the next;
+each reports the lexicographically least permutation it fails on.
 Descent tables and the degree arrays shard by the position of n and make
 no sorting pass over S_n (their kernels are in split): a table shard
 works on sorted patterns, and an array shard writes one block of degrees
@@ -429,7 +429,7 @@ def _pred_stack_deg2_characterisation(w: Word, s: Word, t: Word, des: int, deg_t
 
 def _pred_sorted_132_witnesses(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
                                walk: trees.TreeWalk) -> bool:
-    return all(d for _, _, d in patterns._witnesses(w, t))
+    return all(d is not None for _, _, d in patterns._witnesses(w, t))
 
 
 def _pred_zigzag_bracketing(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
@@ -458,6 +458,19 @@ def _pred_duality(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
     )
 
 
+def _pred_injection(w: Word, s: Word, t: Word, des: int, deg_t: int, deg_s: int,
+                    walk: trees.TreeWalk) -> bool:
+    # h(w) gains one descent, keeps S and T, and h's left inverse returns w.
+    if des > (len(w) - 3) // 2:
+        return True
+    h = trees.injection_h(w)
+    back = None
+    with contextlib.suppress(LookupError):
+        back = trees.injection_h_inverse(h)
+    return (descents(h) == des + 1 and stack_sort_sim(h) == s and revstack_sort_sim(h) == t
+            and back == w)
+
+
 # Each predicate receives w with its precomputed S(w), T(w), descent count,
 # revstack/stack degrees and tree walk (trees.tree_walk).
 _PERMUTATION_CHECKS = (
@@ -472,8 +485,8 @@ _PERMUTATION_CHECKS = (
     ("zigzag bracketing", _pred_zigzag_bracketing),
     ("tree traversal identities", _pred_tree_traversals),
     ("duality involution and conjugates", _pred_duality),
+    ("descent-raising injection", _pred_injection),
 )
-_INJECTION_CHECK = "descent-raising injection"
 
 
 # Permutations per check-major block of a theorem shard.  The serial pass
@@ -486,26 +499,23 @@ def _check_shard(n: int, i: int, prev_t: bytes, prev_s: bytes) -> tuple:
     """Shard i of the theorem pass over S_n, in the lexicographic order of
     _with_prefix; prev_t and prev_s are the revstack and stack degree
     arrays of S_(n-1).  The shard runs check-major over blocks of _BLOCK
-    consecutive permutations: the readings of the whole block first, then
-    each check over the block, then the injection and the
-    stack/reverse/stack count.  A check that fails is skipped for the rest
-    of the shard, so each check keeps the first permutation it fails on.
-    Returns the first counterexample of each failing per-permutation check;
-    the descent-raising injection's (h(w), w) pairs, up to the shard's
-    first injection failure, whose collisions the merge looks for; and the
-    descents of the permutations that stack/reverse/stack sorts."""
+    consecutive permutations: the readings and the stack/reverse/stack
+    count of the whole block first, then each check over the block.  A
+    check that fails is skipped for the rest of the shard, so it keeps the
+    first permutation it fails on.  Returns those counterexamples and the
+    descent counts of the permutations that stack/reverse/stack sorts."""
     first_bad: dict[str, str] = {}
-    pairs: list[tuple[Word, Word]] = []
     stack_rev_stack = [0] * n
     identity = tuple(range(1, n + 1))
-    low = (n - 3) // 2
     stream = _with_prefix(n, i)
     while block := list(itertools.islice(stream, _BLOCK)):
         rows = []
         for w in block:
             s = stack_sort_sim(w)
             t = revstack_sort_sim(w)
-            rows.append((w, s, t, descents(w), _degree(w, t, prev_t), _degree(w, s, prev_s),
+            des = descents(w)
+            stack_rev_stack[des] += stack_sort_sim(reverse(s)) == identity
+            rows.append((w, s, t, des, _degree(w, t, prev_t), _degree(w, s, prev_s),
                          trees.tree_walk(w)))
         for name, pred in _PERMUTATION_CHECKS:
             if name not in first_bad:
@@ -513,19 +523,7 @@ def _check_shard(n: int, i: int, prev_t: bytes, prev_s: bytes) -> tuple:
                     if not pred(*row):
                         first_bad[name] = format_permutation(row[0])
                         break
-        if _INJECTION_CHECK not in first_bad:
-            for w, s, t, des, *_ in rows:
-                if des <= low:
-                    h = trees.injection_h(w)
-                    if (descents(h) != des + 1 or stack_sort_sim(h) != s
-                            or revstack_sort_sim(h) != t):
-                        first_bad[_INJECTION_CHECK] = format_permutation(w)
-                        break
-                    pairs.append((h, w))
-        for w, s, t, des, *_ in rows:
-            if stack_sort_sim(reverse(s)) == identity:
-                stack_rev_stack[des] += 1
-    return first_bad, pairs, stack_rev_stack
+    return first_bad, stack_rev_stack
 
 
 def _row_check(name: str, want: IntPoly, t: int, *tables: DescentTable) -> CheckResult:
@@ -597,30 +595,18 @@ def verify_theorems(
     table: Optional[Callable[[int, str], DescentTable]] = None,
 ) -> SuiteReport:
     """Run every exhaustive property check at size n in one pass over S_n,
-    sharded over jobs workers (_check_shard).  The shards merge in order,
-    so each check reports its least counterexample for any jobs.  The
-    table checks read both descent tables through table(n, sorter)
+    sharded over jobs workers (_check_shard).  A check reports the first
+    counterexample of its first failing shard, so its least for any jobs.
+    The table checks read both descent tables through table(n, sorter)
     (default descent_table over the same jobs, the tables users see)."""
     _check_n(n)
     table = table or functools.partial(descent_table, jobs=jobs)
     arrays = (_degree_array(n - 1, "revstack", jobs), _degree_array(n - 1, "stack", jobs))
-    bads, pair_lists, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays,
-                                                     shards=_prefix_shards(n)))
-    first_bad: dict[str, str] = {}
-    # h raises the descent count by exactly one, so images of permutations
-    # with different descent counts cannot collide and one dict serves all.
-    images: dict[Word, Word] = {}
-    for bad, pairs in zip(bads, pair_lists):
-        for h, w in pairs:
-            if _INJECTION_CHECK in first_bad:
-                break
-            if h in images:
-                first_bad[_INJECTION_CHECK] = f"collision: {images[h]} and {w} both map to {h}"
-            images[h] = w
-        for name, counterexample in bad.items():
-            first_bad.setdefault(name, counterexample)
-    names = [name for name, _ in _PERMUTATION_CHECKS] + [_INJECTION_CHECK]
-    checks = [CheckResult(name, name not in first_bad, first_bad.get(name, "")) for name in names]
+    bads, stack_rev_stacks = zip(*_sweep(n, _check_shard, jobs, arrays,
+                                         shards=_prefix_shards(n)))
+    first_bad = {name: bad for shard in reversed(bads) for name, bad in shard.items()}
+    checks = [CheckResult(name, name not in first_bad, first_bad.get(name, ""))
+              for name, _ in _PERMUTATION_CHECKS]
     rev, st = table(n, "revstack"), table(n, "stack")
     # The descent statistic agrees on the sets sorted by two straight
     # stack passes and by stack/reverse/stack.

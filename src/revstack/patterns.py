@@ -351,17 +351,17 @@ def _report(sigma: Word, tau: Word) -> SortedPatternReport:
     witnesses of _witnesses up to the first 132 occurrence that has none."""
     witnesses = []
     for triple, kind, d in _witnesses(sigma, tau):
-        if not d:
+        if d is None:
             return SortedPatternReport(False, tuple(witnesses), triple)
         witnesses.append(SortedPatternWitness(triple, kind, d))
     return SortedPatternReport(True, tuple(witnesses))
 
 
-def _witnesses(sigma: Word, tau: Word) -> Iterator[tuple[Word, str, int]]:
+def _witnesses(sigma: Word, tau: Word) -> Iterator[tuple[Word, str, Optional[int]]]:
     """(triple, kind, d) for each 132 occurrence triple = (a,c,b) of tau, in
     the order of its positions.  d is the least value above c in sigma
     strictly between b and c (kind 2431), or else, when no value above c
-    lies between a and c, strictly between b and a (2413); d is 0, and
+    lies between a and c, strictly between b and a (2413); d is None, and
     kind empty, when there is no witness."""
     pos = positions(sigma)
     for a, c, b in itertools.combinations(tau, 3):
@@ -370,8 +370,8 @@ def _witnesses(sigma: Word, tau: Word) -> Iterator[tuple[Word, str, int]]:
         pa, pb, pc = pos[a], pos[b], pos[c]
         if pb < pc < pa:
             kind, between = "2431", sigma[pb:pc - 1]
-        elif pb < pa < pc and max(sigma[pa:pc - 1], default=0) < c:
+        elif pb < pa < pc and max(sigma[pa:pc - 1], default=-math.inf) < c:
             kind, between = "2413-unextendable", sigma[pb:pa - 1]
         else:
             kind, between = "", ()
-        yield (a, c, b), kind, min((v for v in between if v > c), default=0)
+        yield (a, c, b), kind, min((v for v in between if v > c), default=None)

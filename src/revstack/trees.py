@@ -18,7 +18,11 @@ both sorting images, by flipping the only-child subtrees hanging off a
 balanced bottom portion of the tree.  ``h_details`` reads the tree's
 shape from the windows of w (``perms._windows``): the window of an entry
 is the span of its subtree, which gives its parent, its depth and its
-children.
+children.  A flip changes no depth and no level's order, so h(w) has the
+same v_1..v_n, with the balance (left minus right edges) of each prefix
+up to h's index negated.  w's earlier prefixes stay below +1, so h's
+index is the least prefix of h(w) with balance -1, and
+``injection_h_inverse`` flips the same vertices back: h is injective.
 """
 from __future__ import annotations
 
@@ -82,6 +86,44 @@ class HStep(NamedTuple):
     flipped_indices: tuple[int, ...]  # positions of the flipped vertices in v_1..v_n
 
 
+def _flip(word: Sequence[int], target: int) -> HStep:
+    """Flip the lone-child vertices of the least prefix T_i whose left edges
+    outnumber its right edges by target: +1 for h, -1 for its inverse."""
+    w = tuple(word)
+    if not w:
+        raise ValueError("the empty permutation has no tree")
+    n = len(w)
+    left, right = _windows(w)
+    # The parent of an entry is the smaller value bounding its window, so
+    # depths fill in by decreasing value; depth[n] = depth[-1] is no bound.
+    depth = [0] * n + [-1]
+    for p in sorted(range(n), key=w.__getitem__, reverse=True):
+        a, b = left[p], right[p]
+        depth[p] = 1 + depth[a if b == n or (a >= 0 and w[a] < w[b]) else b]
+    # Deepest level first; the sort is stable, so left to right in a level.
+    order = sorted(range(n), key=depth.__getitem__, reverse=True)
+    # The entry at p has a left (right) child exactly when its window
+    # reaches past p on that side.  Both children of a vertex precede it.
+    edges = 0
+    for index, p in enumerate(order, start=1):
+        edges += (left[p] + 1 < p) - (p + 1 < right[p])
+        if edges == target:
+            break
+    else:
+        raise LookupError(f"no balanced prefix index exists for {w}")
+    # Moving the lone child of the entry at p to the other side moves p to
+    # the other end of its window.  Deeper flips come first and stay inside
+    # their own windows, so each move finds its window already flipped.
+    out = list(w)
+    flipped = []
+    for i, p in enumerate(order[:index], start=1):
+        lo, hi = left[p] + 1, right[p]
+        if (lo < p) != (p + 1 < hi):
+            out[lo:hi] = out[lo + 1:hi] + [out[p]] if p == lo else [out[p]] + out[lo:p]
+            flipped.append(i)
+    return HStep(w, tuple(out), index, tuple(w[order[i - 1]] for i in flipped), tuple(flipped))
+
+
 def h_details(word: Sequence[int]) -> HStep:
     """Run the descent-raising map and report the balanced-prefix index and
     the flipped only-child vertices.  The vertices v_1, ..., v_n run
@@ -93,52 +135,23 @@ def h_details(word: Sequence[int]) -> HStep:
     (9, (8, 3, 5))
     >>> step.result
     (7, 8, 9, 4, 6, 1, 10, 5, 3, 2, 11)
+    >>> injection_h_inverse(step.result)
+    (8, 7, 9, 4, 6, 1, 10, 2, 3, 5, 11)
 
     Raises LookupError when no prefix T_i has exactly one more left edge
     than right edges (outside the guaranteed range des <= (n-3)/2 this can
     happen and the map is simply not defined), and ValueError for the
     empty word.
     """
-    w = tuple(word)
-    if not w:
-        raise ValueError("the empty permutation has no tree")
-    n = len(w)
-    left, right = _windows(w)
-    # The parent of an entry is the smaller of the two values bounding its
-    # window, so depths fill in by decreasing value.
-    depth = [0] * n
-    for p in sorted(range(n), key=w.__getitem__, reverse=True):
-        a, b = left[p], right[p]
-        if a >= 0 and (b == n or w[a] < w[b]):
-            depth[p] = depth[a] + 1
-        elif b < n:
-            depth[p] = depth[b] + 1
-    order = sorted(range(n), key=lambda p: (-depth[p], p))
-    # The entry at p has a left (right) child exactly when its window
-    # reaches past p on that side.  Both children of a vertex precede it.
-    edges = 0
-    for index, p in enumerate(order, start=1):
-        edges += (left[p] + 1 < p) - (p + 1 < right[p])
-        if edges == 1:
-            break
-    else:
-        raise LookupError(f"no balanced prefix index exists for {w}")
-
-    # Moving the lone child of the entry at p to the other side moves p to
-    # the other end of its window.  Deeper flips come first and stay inside
-    # their own windows, so each move finds its window already flipped.
-    out = list(w)
-    flip_labels = []
-    flip_indices = []
-    for i, p in enumerate(order[:index], start=1):
-        lo, hi = left[p] + 1, right[p]
-        if (lo < p) != (p + 1 < hi):
-            out[lo:hi] = out[lo + 1:hi] + [out[p]] if p == lo else [out[p]] + out[lo:p]
-            flip_labels.append(w[p])
-            flip_indices.append(i)
-    return HStep(w, tuple(out), index, tuple(flip_labels), tuple(flip_indices))
+    return _flip(word, 1)
 
 
 def injection_h(word: Sequence[int]) -> Word:
     """The descent-raising image of word; see h_details."""
     return h_details(word).result
+
+
+def injection_h_inverse(word: Sequence[int]) -> Word:
+    """The left inverse of injection_h (see h_details).  Raises LookupError
+    when no prefix T_i has one more right edge than left edges."""
+    return _flip(word, -1).result

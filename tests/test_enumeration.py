@@ -696,7 +696,8 @@ class TestTheoremSuite:
     def test_injected_faults_give_one_report_for_any_jobs(self, monkeypatch):
         # the 2431 check fails in shards 2, 4 and 5; h maps (6 1 2 3 4 5), in
         # the last shard, onto the image of (2 1 3 4 5 6), which has the same
-        # descent count and the same S and T images
+        # descent count and the same S and T images, so the left inverse
+        # returns the earlier word and the collision shows at the later one
         wrong = {(5, 3, 1, 2, 4, 6), (4, 6, 1, 2, 3, 5), (2, 6, 5, 1, 3, 4)}
         member = patterns.is_member_T2
         monkeypatch.setattr(patterns, "is_member_T2", lambda w: member(w) != (w in wrong))
@@ -707,7 +708,32 @@ class TestTheoremSuite:
         assert reports[0] == reports[1] == reports[2]
         assert {c.name: c.counterexample for c in reports[0].checks if not c.ok} == {
             "two-pass sortable iff avoids 2431 and barred 241(5)3": "2 6 5 1 3 4",
-            "descent-raising injection": f"collision: {early} and {late} both map to {h(early)}",
+            "descent-raising injection": "6 1 2 3 4 5",
+        }
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the injected faults")
+    def test_wrong_left_inverse_fails_the_injection_at_the_least_word(self, monkeypatch):
+        # an inverse that is wrong on the images of three words in three
+        # shards, one by returning another word and two by finding no
+        # prefix: the check fails at the least of the three for any jobs
+        words = [w for w in itertools.permutations(range(1, 7)) if descents(w) <= 1]
+        wrong = {trees.injection_h(w): w for w in (words[-1], words[40], words[25])}
+        assert len({w[:2] for w in wrong.values()}) == 3
+        inverse = trees.injection_h_inverse
+
+        def wrong_inverse(h):
+            if h not in wrong:
+                return inverse(h)
+            if wrong[h] == words[-1]:
+                return words[0]
+            raise LookupError(h)
+
+        monkeypatch.setattr(trees, "injection_h_inverse", wrong_inverse)
+        reports = [verify_theorems(6, jobs) for jobs in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        assert {c.name: c.counterexample for c in reports[0].checks if not c.ok} == {
+            "descent-raising injection": " ".join(map(str, words[25])),
         }
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

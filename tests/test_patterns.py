@@ -319,7 +319,25 @@ class TestSorted132Witnesses:
                     report = _report(sigma, tau)
                     assert report == witnesses_by_definition(sigma, tau)
                     # the theorem pass reads only whether every d is found
-                    assert all(d for *_, d in _witnesses(sigma, tau)) == report.holds
+                    assert all(d is not None for *_, d in _witnesses(sigma, tau)) == report.holds
+
+    def test_shifted_letters_give_shifted_witnesses(self):
+        # the check reads only the order of the letters: shifted down to
+        # letters <= 0, where a real d can be 0 and a max can be below 0,
+        # a word gives the same verdict and the shifted witnesses
+        for n in range(3, 7):
+            for w in all_perms(n):
+                report = check_sorted_132_witnesses(w)
+                for k in (1, 3, n):
+                    down = [tuple(v - k for v in triple)
+                            for triple in (*(x.triple for x in report.witnesses),
+                                           report.failed_triple or ())]
+                    shifted = check_sorted_132_witnesses(tuple(v - k for v in w))
+                    assert shifted.holds == report.holds, (w, k)
+                    assert shifted.witnesses == tuple(
+                        x._replace(triple=triple, d=x.d - k)
+                        for x, triple in zip(report.witnesses, down)), (w, k)
+                    assert shifted.failed_triple == (down[-1] or None), (w, k)
 
     def test_matches_the_definition_on_sorted_images(self):
         for n in range(8):

@@ -15,7 +15,7 @@ from oracles import (
     vertices,
 )
 from revstack.perms import descents, reverse, revstack_sort_sim, stack_sort_sim
-from revstack.trees import h_details, injection_h, tree_walk
+from revstack.trees import h_details, injection_h, injection_h_inverse, tree_walk
 
 WORKED = (8, 7, 9, 4, 6, 1, 10, 2, 3, 5, 11)
 
@@ -196,6 +196,21 @@ class TestInjectionH:
         assert descents(h) == 1
         assert stack_sort_sim(h) == stack_sort_sim(w)
         assert revstack_sort_sim(h) == revstack_sort_sim(w)
+
+    @pytest.mark.parametrize("n", [*range(1, 9), pytest.param(9, marks=pytest.mark.extended)])
+    def test_left_inverse(self, n):
+        # the inverse flips back the same vertices of h(w), so the theorem
+        # pass reads injectivity one permutation at a time
+        for w in all_perms(n):
+            if descents(w) <= (n - 3) // 2:
+                assert injection_h_inverse(injection_h(w)) == w, w
+
+    def test_inverse_needs_a_prefix_with_one_more_right_edge(self):
+        # the tree of 1..n is a pure left chain: right edges never lead
+        with pytest.raises(LookupError):
+            injection_h_inverse(identity(5))
+        with pytest.raises(ValueError):
+            injection_h_inverse(())
 
     def test_no_index_for_reversed_identity(self):
         # the tree of n...1 is a pure right chain: left edges never lead
