@@ -227,7 +227,7 @@ SUITES = {
                            _show_steingrimsson, _first_row, lambda top: range(1, top + 1)),
     "classification": Suite(lambda n, jobs, table: enumeration.classify_degree_nm2(n, table),
                             _show_classification, lambda report: report.detail,
-                            lambda top: range(4, min(top, 10) + 1)),
+                            lambda top: range(4, top + 1)),
     "appendix": Suite(lambda n, jobs, table: enumeration.reproduce_appendix(
                           enumerate_max_n=n, table=table),
                       _show_appendix, _first_mismatch, lambda top: (top,)),
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=("steingrimsson", "theorems", "classification", "all"),
                    help="one suite at size n, or all: every suite at every size 1..N, "
-                        "the classification from 4 to min(N, 10), then the appendix "
+                        "the classification from 4 to N, then the appendix "
                         "coefficients up to N")
     p.add_argument("--n", type=int, required=True)
     add_common(p, jobs=True)

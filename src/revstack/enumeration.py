@@ -302,7 +302,7 @@ def _load_cached(path: Path, n: int, sorter: str) -> Optional[DescentTable]:
         ):
             return None
         table = DescentTable(n, sorter, tuple(tuple(row) for row in blob["deg_des"]))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     return table if _is_sound(table) else None
 
@@ -572,17 +572,18 @@ def _check_closed_forms(n: int, rev: DescentTable, st: DescentTable) -> list[Che
     if n >= 4:
         out.append(_row_check("degree-(n-2) closed form", w_revstack_nm2(n), n - 2, rev))
         out.append(_row_check("degree-(n-3) closed form", w_revstack_nm3(n), n - 3, rev))
-        out.append(CheckResult(
-            "degree-(n-3) case-total form",
-            w_revstack_nm3(n) == w_revstack_nm3_from_contributions(n),
-        ))
-        counts_ok = (
-            rev.count(n - 2) == count_revstack_nm2(n)
-            and rev.count(n - 3) == count_revstack_nm3(n) == count_revstack_nm3_sixterm(n)
-            and st.count(n - 2) == count_stack_nm2(n)
-            and st.count(n - 3) == count_stack_nm3(n)
-        )
-        out.append(CheckResult("counting formulas", counts_ok))
+        want, got = w_revstack_nm3(n).coeffs, w_revstack_nm3_from_contributions(n).coeffs
+        bad = next((f"coefficient of x^{k}: {a} != {b}" for k, (a, b) in
+                    enumerate(itertools.zip_longest(want, got, fillvalue=0)) if a != b), "")
+        out.append(CheckResult("degree-(n-3) case-total form", not bad, bad))
+        bad = next((f"{name}: {a} != {b}" for name, a, b in (
+            ("revstack count t=n-2", rev.count(n - 2), count_revstack_nm2(n)),
+            ("revstack count t=n-3", rev.count(n - 3), count_revstack_nm3(n)),
+            ("revstack six-term count t=n-3", rev.count(n - 3), count_revstack_nm3_sixterm(n)),
+            ("stack count t=n-2", st.count(n - 2), count_stack_nm2(n)),
+            ("stack count t=n-3", st.count(n - 3), count_stack_nm3(n)),
+        ) if a != b), "")
+        out.append(CheckResult("counting formulas", not bad, bad))
         out.append(CheckResult(
             "counting inequalities (exact rationals)", counting_inequalities_hold(n)
         ))
@@ -689,18 +690,14 @@ class ClassSpec(NamedTuple):
     right_values: frozenset[int]
     constraint: Optional[tuple[int, int]] = None
 
+    def admits(self, w: Word) -> bool:
+        """Whether u precedes v in w; true when there is no constraint."""
+        return self.constraint is None or w.index(self.constraint[0]) < w.index(self.constraint[1])
+
     def members(self) -> Iterator[Word]:
-        for left in itertools.permutations(sorted(self.left_values)):
-            if self.constraint is not None:
-                u, v = self.constraint
-                if u in self.left_values and left.index(u) > left.index(v):
-                    continue
-            for right in itertools.permutations(sorted(self.right_values)):
-                if self.constraint is not None:
-                    u, v = self.constraint
-                    if u in self.right_values and right.index(u) > right.index(v):
-                        continue
-                yield left + (self.pivot,) + right
+        sides = map(itertools.permutations, (sorted(self.left_values), sorted(self.right_values)))
+        words = (left + (self.pivot,) + right for left, right in itertools.product(*sides))
+        return filter(self.admits, words)
 
 
 def _step2_down(top: int, stop: int = 0) -> list[int]:
@@ -774,53 +771,54 @@ class ClassificationReport(NamedTuple):
 def classify_degree_nm2(
     n: int, table: Optional[Callable[[int, str], DescentTable]] = None
 ) -> ClassificationReport:
-    """Materialise the six families, then verify they are pairwise
-    disjoint, cover exactly the degree-(n-2) permutations, and contribute
-    the expected descent polynomials.  Coverage holds when every member
-    has degree n-2 and, the families being disjoint, the members number
-    as many as the degree-(n-2) permutations of table(n, "revstack"),
-    which is asked for only once the families and polynomials pass
-    (default table: descent_table)."""
-    if not 4 <= n <= 10:
-        raise ValueError("classification supported for 4 <= n <= 10")
-    table = table or descent_table
+    """Verify in one pass over their members, keeping none, that the six
+    families are disjoint, cover exactly the degree-(n-2) permutations and
+    contribute the expected descent polynomials.  A family fixes the values
+    left of its pivot, and its right values are the rest, so the families
+    holding w are those keyed by (p, the values of w left of p), p = n-1 or
+    n, that admit w; at every n some members of b have a-right's key and
+    some of c have a-left's, and only the constraint rules them out.  A
+    member with two owners is reported with the first two in family order.
+    Coverage holds when every member has degree n-2 and the members number
+    as many as the degree-(n-2) words of table(n, "revstack") (default
+    descent_table), which is asked for last."""
+    if not 4 <= n <= MAX_N:
+        raise ValueError(f"classification supported for 4 <= n <= {MAX_N} (got {n})")
     classes = degree_nm2_classes(n)
-    contributions = degree_nm2_contributions(n)
+    keyed: dict[tuple[int, frozenset[int]], list[ClassSpec]] = {}
+    for spec in classes:  # pivot n-1 first, so owners come in family order
+        keyed.setdefault((spec.pivot, spec.left_values), []).append(spec)
 
-    seen: dict[Word, str] = {}
     sizes: dict[str, int] = {}
     polys: dict[str, IntPoly] = {}
+    wrong_degree = 0
     for spec in classes:
         group = spec.name.split("-i")[0]  # d-odd-i1, d-odd-i3, ... form group d-odd
-        count = 0
         coeffs = [0] * (n + 1)
         for w in spec.members():
-            if w in seen:
-                return ClassificationReport(
-                    n, False, sizes, f"{' '.join(map(str, w))} in both {seen[w]} and {spec.name}"
-                )
-            seen[w] = spec.name
-            count += 1
+            owners = [other for p in (n - 1, n)
+                      for other in keyed.get((p, frozenset(w[:w.index(p)])), ())
+                      if other.admits(w)]
+            if owners != [spec]:
+                return ClassificationReport(n, False, sizes, f"{format_permutation(w)} in both "
+                                            f"{owners[0].name} and {owners[1].name}")
             coeffs[1 + descents(w)] += 1
-        sizes[group] = sizes.get(group, 0) + count
-        poly = IntPoly.from_coeffs(coeffs)
-        polys[group] = polys.get(group, IntPoly.zero()) + poly
+            wrong_degree += deg_revstack(w) != n - 2
+        sizes[group] = sizes.get(group, 0) + sum(coeffs)
+        polys[group] = polys.get(group, IntPoly.zero()) + IntPoly.from_coeffs(coeffs)
 
-    for group, expected in contributions.items():
+    for group, expected in degree_nm2_contributions(n).items():
         got = polys.get(group, IntPoly.zero())
         if got != expected:
-            return ClassificationReport(
-                n, False, sizes,
-                f"class {group} polynomial {list(got.coeffs)} != expected {list(expected.coeffs)}",
-            )
+            return ClassificationReport(n, False, sizes, f"class {group} polynomial "
+                                        f"{list(got.coeffs)} != expected {list(expected.coeffs)}")
 
-    wrong_degree = sum(deg_revstack(w) != n - 2 for w in seen)
-    surplus = sum(table(n, "revstack").deg_des[n - 2]) - (len(seen) - wrong_degree)
+    covered = sum(sizes.values()) - wrong_degree
+    surplus = sum((table or descent_table)(n, "revstack").deg_des[n - 2]) - covered
     missing, extra = max(surplus, 0), wrong_degree + max(-surplus, 0)
     if missing or extra:
-        return ClassificationReport(
-            n, False, sizes, f"coverage mismatch: {missing} missing, {extra} extra"
-        )
+        return ClassificationReport(n, False, sizes,
+                                    f"coverage mismatch: {missing} missing, {extra} extra")
     return ClassificationReport(n, True, sizes)
 
 
@@ -874,7 +872,7 @@ def load_reference_tables(path: Optional[str | Path] = None) -> list[dict]:
         source = Path(path)
     try:
         blob = json.loads(source.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         raise ValueError(f"cannot parse reference tables from {str(source)!r}") from None
     if not isinstance(blob, dict):
         raise ValueError(f"{source}: not a reference-table object")

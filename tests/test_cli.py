@@ -315,6 +315,15 @@ class TestTable:
         )
         assert cold == warm
 
+    def test_deeply_nested_cache_entry_recomputed(self, capsys, tmp_path):
+        # too deep for the JSON decoder's recursion: corrupt, so recomputed
+        entry = tmp_path / "table-revstack-5.json"
+        entry.write_text("[" * 200_000 + "]" * 200_000)
+        status, out = run(capsys, "table", "--n", "5", "--cache-dir", str(tmp_path))
+        _, fresh = run(capsys, "table", "--n", "5", "--no-cache")
+        assert (status, out) == (0, fresh)
+        assert json.loads(entry.read_text())["n"] == 5
+
     def test_unwritable_cache_dir_computes_only(self, capsys, tmp_path):
         # A directory below a regular file cannot be created, even as root.
         blocker = tmp_path / "file"
@@ -682,6 +691,8 @@ class TestAppendix:
         (b"not json", "cannot parse reference tables from {!r}"),
         (b'{"format_version": 1, "entries": ["\xff"]}', "cannot parse reference tables from {!r}"),
         (b"[1]", "{}: not a reference-table object"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, "cannot parse reference tables from {!r}",
+                     id="too-deeply-nested"),
     ])
     def test_unreadable_golden_file_is_named(self, capsys, tmp_path, content, message):
         golden = tmp_path / "golden.json"

@@ -52,6 +52,7 @@ from revstack.polynomials import (
     count_revstack_nm2,
     count_revstack_nm3,
     eulerian_poly,
+    w_revstack_nm3,
 )
 from revstack.split import (
     _BITS,
@@ -856,11 +857,11 @@ class TestTheoremSuite:
         ("revstack", 2, {"two-pass rows agree between sorters": "stack row t=2"}),
         ("revstack", 3, {
             "degree-(n-3) closed form": "revstack row t=3",
-            "counting formulas": "",
+            "counting formulas": "revstack count t=n-3: 635 != 636",
         }),
         ("revstack", 4, {
             "degree-(n-2) closed form": "revstack row t=4",
-            "counting formulas": "",
+            "counting formulas": "revstack count t=n-2: 707 != 708",
         }),
     ])
     def test_closed_forms_name_the_failing_row(self, get_table, sorter, src, expected):
@@ -868,6 +869,26 @@ class TestTheoremSuite:
         tables[sorter] = moved_cells(tables[sorter], src, src + 1, col=1)
         results = _check_closed_forms(6, tables["revstack"], tables["stack"])
         assert {c.name: c.counterexample for c in results if not c.ok} == expected
+
+    def test_wrong_count_formula_is_named_for_any_jobs(self, monkeypatch):
+        # the formula is read in the calling process, so every start method sees it
+        real = enumeration.count_stack_nm3
+        monkeypatch.setattr(enumeration, "count_stack_nm3", lambda n: real(n) + 1)
+        reports = [verify_theorems(6, jobs) for jobs in (1, 2)]
+        assert reports[0] == reports[1]
+        assert {c.name: c.counterexample for c in reports[0].checks if not c.ok} == {
+            "counting formulas": "stack count t=n-3: 606 != 607",
+        }
+
+    def test_case_total_form_names_the_first_wrong_coefficient(self, get_table, monkeypatch):
+        real = enumeration.w_revstack_nm3_from_contributions
+        monkeypatch.setattr(enumeration, "w_revstack_nm3_from_contributions",
+                            lambda n: real(n) + IntPoly.from_coeffs([0, 0, 0, 2, 0, 3]))
+        want = w_revstack_nm3(6)[3]
+        results = _check_closed_forms(6, get_table(6, "revstack"), get_table(6, "stack"))
+        assert {c.name: c.counterexample for c in results if not c.ok} == {
+            "degree-(n-3) case-total form": f"coefficient of x^3: {want} != {want + 2}",
+        }
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_degree_walk_rejects_every_wrong_degree(self, n):
@@ -919,10 +940,15 @@ class TestClassification:
         assert report.ok, report.detail
 
     def test_members_have_exact_degree(self):
-        for n in (4, 5):
+        # oracle: every member kept, each once, and compared with a scan of S_n
+        for n in range(4, 8):
+            owner = {}
             for spec in degree_nm2_classes(n):
                 for w in spec.members():
-                    assert deg_revstack(w) == n - 2
+                    assert w not in owner, (w, owner.get(w), spec.name)
+                    owner[w] = spec.name
+            assert set(owner) == {w for w in itertools.permutations(range(1, n + 1))
+                                  if deg_revstack(w) == n - 2}
 
     def test_determinism_across_jobs(self):
         serial, pooled = (classify_degree_nm2(7, partial(descent_table, jobs=j)) for j in (1, 2))
@@ -948,7 +974,45 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_degree_nm2(3)
         with pytest.raises(ValueError):
-            classify_degree_nm2(11)
+            classify_degree_nm2(enumeration.MAX_N + 1)
+
+    @pytest.mark.parametrize("n", range(4, 16))
+    def test_each_family_fixes_both_sides_of_its_pivot(self, n):
+        # a family's right values are the rest, so the values left of its
+        # pivot decide every member's sides, as the owner lookup assumes
+        for spec in degree_nm2_classes(n):
+            assert spec.pivot in (n - 1, n)
+            assert spec.left_values | spec.right_values | {spec.pivot} == set(range(1, n + 1))
+            assert not spec.left_values & spec.right_values
+
+    def test_duplicated_family_is_reported(self, monkeypatch):
+        real = enumeration.degree_nm2_classes
+
+        def with_copy(n):
+            classes = real(n)
+            return classes + [next(c for c in classes if c.name == "b")._replace(name="b-copy")]
+
+        monkeypatch.setattr(enumeration, "degree_nm2_classes", with_copy)
+        report = classify_degree_nm2(6)
+        assert not report.ok
+        assert report.detail == "1 3 5 6 2 4 in both b and b-copy"
+
+    def test_family_without_its_constraint_is_reported(self, monkeypatch):
+        # a-left without "6 precedes 3" also holds 1 3 6 5 2 4, a member of c
+        real = enumeration.degree_nm2_classes
+        monkeypatch.setattr(enumeration, "degree_nm2_classes", lambda n: [
+            c._replace(constraint=None) if c.name == "a-left" else c for c in real(n)])
+        report = classify_degree_nm2(6)
+        assert not report.ok
+        assert report.detail == "1 3 6 5 2 4 in both a-left and c"
+        c = next(c for c in real(6) if c.name == "c")
+        assert (1, 3, 6, 5, 2, 4) in set(c.members())
+
+    @pytest.mark.extended
+    def test_n11(self):
+        report = classify_degree_nm2(11)
+        assert report.ok, report.detail
+        assert sum(report.sizes.values()) == 174_240
 
 
 class TestZigzagFree:
